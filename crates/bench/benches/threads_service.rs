@@ -123,7 +123,6 @@ fn bench_registry_churn(c: &mut Criterion) {
                     parlap_core::registry::RegistryConfig {
                         memory_budget_bytes: 5 * one_entry / 2,
                         service: ServiceConfig { num_threads: Some(t), ..ServiceConfig::default() },
-                        ..parlap_core::registry::RegistryConfig::default()
                     },
                     build_grid,
                 );

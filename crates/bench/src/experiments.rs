@@ -1,4 +1,5 @@
-//! The experiment suite: one function per row of DESIGN.md §5.
+//! The experiment suite: one function per paper claim, E1–E19, looked
+//! up by id in [`run`].
 //!
 //! Each experiment prints a self-contained markdown table plus a short
 //! note on the paper claim it instantiates. Results are archived in

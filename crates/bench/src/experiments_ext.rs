@@ -4,8 +4,8 @@
 //! acceleration layer (RCM reordering, f32 inner applies).
 //!
 //! These extend the core suite in [`crate::experiments`] with the
-//! substrates added on top of the paper: see DESIGN.md §5 for the
-//! full index.
+//! substrates added on top of the paper; [`run`] maps their ids to
+//! functions, as [`crate::experiments::run`] does for E1–E19.
 
 use crate::table::{f, Table};
 use parlap_apps::maxflow::{dinic_max_flow, ElectricalMaxFlow, FlowDecision, MaxFlowOptions};

@@ -3,7 +3,8 @@
 //! The paper (SPAA 2023 theory track) has no empirical tables; its
 //! evaluation is the set of quantitative theorem statements. This
 //! crate regenerates each of them as a measured table — the experiment
-//! index lives in DESIGN.md §5 and results are recorded in
+//! index is [`experiments::run`] (E1–E19, then
+//! [`experiments_ext::run`] for E20–E26) and results are recorded in
 //! EXPERIMENTS.md. Run via:
 //!
 //! ```text

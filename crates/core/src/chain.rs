@@ -37,7 +37,9 @@ pub struct ChainOptions {
     /// `5DDSubset` candidate-set fraction (paper: 1/20).
     pub sample_fraction: f64,
     /// Resample a round whose sampled Schur complement came out
-    /// disconnected (rare failure event; see DESIGN.md). 0 disables.
+    /// disconnected (the rare deviation event of Theorem 3.9-(5));
+    /// retries taken are counted in
+    /// [`ChainStats::connectivity_retries_used`]. 0 disables.
     pub connectivity_retries: usize,
     /// Hard cap on rounds (safety net; the paper proves `O(log n)`).
     pub max_rounds: usize,

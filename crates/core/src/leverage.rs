@@ -14,10 +14,10 @@
 //! 4. split edge `e` into `⌈τ̂(e)/α⌉` copies (Lemma 3.3), giving
 //!    `O(m + nKα⁻¹)` multi-edges instead of `O(mα⁻¹)`.
 //!
-//! Deviation from the paper (documented in DESIGN.md): `G'` is
-//! augmented with a BFS spanning tree of `G` so it is always connected
-//! (the paper leaves the disconnected-sample case to the `τ̂ ≤ 1`
-//! clamp); a configurable `safety` factor absorbs the JL distortion.
+//! Deviation from the paper: `G'` is augmented with a BFS spanning
+//! tree of `G` so it is always connected (the paper leaves the
+//! disconnected-sample case to the `τ̂ ≤ 1` clamp); a configurable
+//! `safety` factor absorbs the JL distortion.
 
 use crate::error::SolverError;
 use crate::solver::{LaplacianSolver, OuterMethod, SolverOptions};

@@ -21,26 +21,13 @@
 //!
 //! Eviction drops the registry's handle only: a client still holding
 //! the entry's [`SolveService`] — or a [`SolveTicket`] from it — keeps
-//! that solver (and its driver) alive until it is done, so eviction
+//! that solver (and its drivers) alive until it is done, so eviction
 //! never orphans an in-flight request. A later `get` of the same key
 //! simply rebuilds.
 //!
-//! # Hot-key sharding
-//!
-//! A single hot key serializes on its one driver thread: every
-//! request for that key funnels through one admission queue and one
-//! group-commit loop. [`RegistryConfig::shards_per_key`] (env knob
-//! `PARLAP_SHARDS_PER_KEY`, strictly parsed) spreads that load:
-//! each entry holds that many [`SolveService`] replicas, every one
-//! backed by the **same** `Arc<LaplacianSolver>` — the factorization
-//! is built once and counted against the budget once; only the cheap
-//! queue/driver plumbing is replicated. `get` dispatches round-robin
-//! with a queue-depth tiebreak (the least-loaded shard wins, ties
-//! broken in round-robin order so idle shards all get work). Because
-//! every shard serves the identical built solver and a solve's bits
-//! depend only on `(b, eps)` and the build, shard placement is
-//! load-balancing only — responses stay bit-identical at any
-//! `shards_per_key`.
+//! A hot key needs no replicas: its one service runs a driver per
+//! pool worker, so concurrent requests for the key already solve side
+//! by side (see the [service's group commit](crate::service#group-commit)).
 //!
 //! # Determinism
 //!
@@ -74,11 +61,6 @@ pub struct RegistryConfig {
     /// Service settings applied to every entry (admission capacity,
     /// dedicated pool size).
     pub service: ServiceConfig,
-    /// [`SolveService`] replicas per entry, all sharing one built
-    /// solver — see [Hot-key sharding](self#hot-key-sharding). Must be
-    /// ≥ 1; defaults to the `PARLAP_SHARDS_PER_KEY` environment
-    /// variable (strictly parsed, 1 when unset).
-    pub shards_per_key: usize,
 }
 
 impl Default for RegistryConfig {
@@ -86,7 +68,6 @@ impl Default for RegistryConfig {
         RegistryConfig {
             memory_budget_bytes: 1 << 30, // 1 GiB of factorizations
             service: ServiceConfig::default(),
-            shards_per_key: default_shards_from_env(),
         }
     }
 }
@@ -146,33 +127,6 @@ fn scale_budget(detected: Option<usize>, fraction: f64) -> usize {
     (((total as f64) * fraction) as usize).max(FLOOR)
 }
 
-/// Parse a `PARLAP_SHARDS_PER_KEY` value. Empty means unset (1 shard,
-/// the unsharded layout — CI legs pass `""` for "no override");
-/// anything other than a decimal integer ≥ 1 is rejected with a clear
-/// error instead of silently running unsharded.
-pub fn parse_shards_env(value: &str) -> Result<usize, String> {
-    match value {
-        "" => Ok(1),
-        v => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!(
-                "unrecognized PARLAP_SHARDS_PER_KEY value {v:?}: expected an integer >= 1"
-            )),
-        },
-    }
-}
-
-/// Default shard count from `PARLAP_SHARDS_PER_KEY`, read once per
-/// process via [`parse_shards_env`]. Panics with a clear message on an
-/// unrecognized value.
-pub fn default_shards_from_env() -> usize {
-    static CACHE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| match std::env::var("PARLAP_SHARDS_PER_KEY") {
-        Ok(v) => parse_shards_env(&v).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => 1,
-    })
-}
-
 /// Snapshot of a registry's lifetime counters.
 #[derive(Clone, Copy, Debug)]
 pub struct RegistryStats {
@@ -194,13 +148,7 @@ pub struct RegistryStats {
 type Builder<K> = dyn Fn(&K) -> Result<LaplacianSolver, SolverError> + Send + Sync;
 
 struct Entry {
-    /// `shards_per_key` service replicas over one shared
-    /// `Arc<LaplacianSolver>`; never empty. Eviction drops the whole
-    /// vector at once.
-    shards: Vec<SolveService>,
-    /// Round-robin cursor for shard dispatch; mutated under the
-    /// registry lock.
-    rr: usize,
+    service: SolveService,
     bytes: usize,
     /// The built backend's stable descriptor
     /// ([`crate::backend::Preconditioner::descriptor`]) — recorded at
@@ -209,28 +157,6 @@ struct Entry {
     /// Logical timestamp of the last `get`; the eviction victim is the
     /// minimum.
     last_used: u64,
-}
-
-impl Entry {
-    /// Pick the next shard: scan all shards starting at the
-    /// round-robin cursor, keep the one with the shallowest admission
-    /// queue (first in scan order wins ties, so idle shards rotate
-    /// fairly), then advance the cursor past the winner.
-    fn dispatch(&mut self) -> SolveService {
-        let n = self.shards.len();
-        let mut best = self.rr % n;
-        let mut best_depth = self.shards[best].queue_len();
-        for step in 1..n {
-            let i = (self.rr + step) % n;
-            let depth = self.shards[i].queue_len();
-            if depth < best_depth {
-                best = i;
-                best_depth = depth;
-            }
-        }
-        self.rr = (best + 1) % n;
-        self.shards[best].clone()
-    }
 }
 
 struct RegistryState<K> {
@@ -328,18 +254,15 @@ impl<K: Eq + Hash + Clone> SolverRegistry<K> {
         }
     }
 
-    /// The serving handle for `key`: resident → one of its shards is
-    /// returned immediately (least-loaded, round-robin on ties; the
-    /// entry is marked most-recently-used); missing → built by the
+    /// The serving handle for `key`: resident → returned immediately
+    /// (the entry is marked most-recently-used); missing → built by the
     /// caller-supplied builder, outside the registry lock, with
-    /// concurrent `get`s of the same key waiting for that one build —
-    /// the factorization is built **once** no matter how many shards
-    /// front it. Insertion may LRU-evict other entries to fit the
-    /// budget. A failed build returns the builder's error and leaves
-    /// the key absent.
+    /// concurrent `get`s of the same key waiting for that one build.
+    /// Insertion may LRU-evict other entries to fit the budget. A
+    /// failed build returns the builder's error and leaves the key
+    /// absent.
     pub fn get(&self, key: &K) -> Result<SolveService, SolverError> {
         let inner = &*self.inner;
-        let shards_per_key = inner.config.shards_per_key.max(1);
         let mut st = inner.state.lock().unwrap();
         loop {
             if st.entries.contains_key(key) {
@@ -348,7 +271,7 @@ impl<K: Eq + Hash + Clone> SolverRegistry<K> {
                 let entry = st.entries.get_mut(key).expect("entry resident");
                 entry.last_used = tick;
                 inner.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(entry.dispatch());
+                return Ok(entry.service.clone());
             }
             if st.building.contains(key) {
                 st = inner.built.wait(st).unwrap();
@@ -361,17 +284,8 @@ impl<K: Eq + Hash + Clone> SolverRegistry<K> {
             let outcome = (inner.builder)(key).and_then(|solver| {
                 let bytes = solver.estimated_bytes();
                 let descriptor = solver.descriptor();
-                // One build, `shards_per_key` queue/driver replicas
-                // over it; the budget charges the factorization once.
-                let solver = Arc::new(solver);
-                let mut shards = Vec::with_capacity(shards_per_key);
-                for _ in 0..shards_per_key {
-                    shards.push(SolveService::with_config_arc(
-                        Arc::clone(&solver),
-                        inner.config.service.clone(),
-                    )?);
-                }
-                Ok((shards, bytes, descriptor))
+                let service = SolveService::with_config(solver, inner.config.service.clone())?;
+                Ok((service, bytes, descriptor))
             });
             st = inner.state.lock().unwrap();
             st.building.remove(key);
@@ -380,11 +294,11 @@ impl<K: Eq + Hash + Clone> SolverRegistry<K> {
                     inner.counters.build_failures.fetch_add(1, Ordering::Relaxed);
                     Err(e)
                 }
-                Ok((shards, bytes, descriptor)) => {
+                Ok((service, bytes, descriptor)) => {
                     st.tick += 1;
                     let tick = st.tick;
-                    let mut entry = Entry { shards, rr: 0, bytes, descriptor, last_used: tick };
-                    let service = entry.dispatch();
+                    let entry =
+                        Entry { service: service.clone(), bytes, descriptor, last_used: tick };
                     st.entries.insert(key.clone(), entry);
                     st.resident_bytes += bytes;
                     self.evict_over_budget(&mut st, Some(key));
@@ -441,47 +355,10 @@ impl<K: Eq + Hash + Clone> SolverRegistry<K> {
         self.inner.state.lock().unwrap().entries.get(key).map(|e| e.descriptor.clone())
     }
 
-    /// Per-shard [`ServiceStats`] snapshots for `key`'s resident entry
-    /// (`None` when absent), in shard order. Length is the entry's
-    /// shard count. Does not touch LRU order and never builds.
-    pub fn shard_stats(&self, key: &K) -> Option<Vec<ServiceStats>> {
-        let shards = {
-            let st = self.inner.state.lock().unwrap();
-            st.entries.get(key)?.shards.clone()
-        };
-        // Snapshot outside the registry lock — per-shard stats take
-        // each service's own lock.
-        Some(shards.iter().map(SolveService::stats).collect())
-    }
-
-    /// Aggregate of [`SolverRegistry::shard_stats`] for `key` (`None`
-    /// when absent): counters sum across shards, high-water marks
-    /// (`largest_batch`, `max_queue_len`) take the maximum.
+    /// The [`ServiceStats`] of `key`'s resident entry (`None` when
+    /// absent). Does not touch LRU order and never builds.
     pub fn key_stats(&self, key: &K) -> Option<ServiceStats> {
-        let per_shard = self.shard_stats(key)?;
-        let mut total = ServiceStats {
-            requests: 0,
-            batches: 0,
-            largest_batch: 0,
-            max_queue_len: 0,
-            rejected: 0,
-            shed: 0,
-            expired: 0,
-            cancelled: 0,
-            panics: 0,
-        };
-        for s in per_shard {
-            total.requests += s.requests;
-            total.batches += s.batches;
-            total.largest_batch = total.largest_batch.max(s.largest_batch);
-            total.max_queue_len = total.max_queue_len.max(s.max_queue_len);
-            total.rejected += s.rejected;
-            total.shed += s.shed;
-            total.expired += s.expired;
-            total.cancelled += s.cancelled;
-            total.panics += s.panics;
-        }
-        Some(total)
+        self.inner.state.lock().unwrap().entries.get(key).map(|e| e.service.stats())
     }
 
     /// Blocking solve against `key`'s solver (building it on demand):
@@ -610,6 +487,8 @@ mod tests {
         assert_eq!(stats.hits, 1, "one hit");
         assert_eq!(stats.entries, 1);
         assert!(stats.resident_bytes > 0, "estimate must be positive");
+        assert_eq!(reg.key_stats(&10).expect("resident").requests, 2, "the entry's own service");
+        assert!(reg.key_stats(&11).is_none(), "absent key");
     }
 
     #[test]
@@ -692,78 +571,6 @@ mod tests {
         assert_eq!(reg.stats().build_failures, 1);
         // The registry is still serviceable.
         assert!(reg.get(&true).is_ok());
-    }
-
-    /// Strict env-knob parsing: `0`, negatives, and junk must be
-    /// rejected, not silently mapped to the unsharded default.
-    #[test]
-    fn shards_env_values_parsed_strictly() {
-        assert_eq!(parse_shards_env(""), Ok(1));
-        assert_eq!(parse_shards_env("1"), Ok(1));
-        assert_eq!(parse_shards_env("3"), Ok(3));
-        for bad in ["0", "-1", "two", "3.5", " 3"] {
-            let err = parse_shards_env(bad).unwrap_err();
-            assert!(err.contains("PARLAP_SHARDS_PER_KEY") && err.contains(bad.trim()), "{err}");
-        }
-    }
-
-    #[test]
-    fn sharded_entry_builds_once_and_counts_bytes_once() {
-        static BUILDS: AtomicUsize = AtomicUsize::new(0);
-        let config = RegistryConfig {
-            memory_budget_bytes: usize::MAX,
-            shards_per_key: 3,
-            ..RegistryConfig::default()
-        };
-        let reg = SolverRegistry::with_config(config, |side: &usize| {
-            BUILDS.fetch_add(1, Ordering::SeqCst);
-            let g = generators::grid2d(*side, *side);
-            // Mirror `grid_registry`'s options so the byte estimates
-            // are comparable.
-            LaplacianSolver::build(
-                &g,
-                SolverOptions {
-                    seed: *side as u64,
-                    backend: crate::backend::BackendKind::Chain,
-                    ..SolverOptions::default()
-                },
-            )
-        });
-        let unsharded = grid_registry(usize::MAX);
-        unsharded.get(&12).expect("unsharded probe");
-        reg.get(&12).expect("sharded build");
-        assert_eq!(BUILDS.load(Ordering::SeqCst), 1, "one factorization for all shards");
-        assert_eq!(reg.stats().misses, 1);
-        assert_eq!(reg.shard_stats(&12).expect("resident").len(), 3);
-        // The shared factorization is charged against the budget once,
-        // not once per shard (service plumbing is not byte-accounted).
-        assert_eq!(
-            reg.stats().resident_bytes,
-            unsharded.stats().resident_bytes,
-            "shards must not multiply the byte estimate"
-        );
-    }
-
-    #[test]
-    fn shard_dispatch_round_robins_idle_shards() {
-        let config = RegistryConfig {
-            memory_budget_bytes: usize::MAX,
-            shards_per_key: 3,
-            ..RegistryConfig::default()
-        };
-        let reg = SolverRegistry::with_config(config, |side: &usize| {
-            let g = generators::grid2d(*side, *side);
-            LaplacianSolver::build(&g, SolverOptions::default())
-        });
-        let b = random_demand(144, 5);
-        // Idle shards tie on queue depth, so six gets walk the ring
-        // twice: each shard serves exactly two requests.
-        for _ in 0..6 {
-            reg.solve(&12, &b, 1e-6).expect("solve");
-        }
-        let per_shard = reg.shard_stats(&12).expect("resident");
-        assert_eq!(per_shard.iter().map(|s| s.requests).collect::<Vec<_>>(), vec![2, 2, 2]);
-        assert_eq!(reg.key_stats(&12).expect("resident").requests, 6);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! `⌈e^{2δ} log(1/ε)⌉` iterations (Theorem 3.8), each one application
 //! of `A` and one of `B`.
 //!
-//! Extensions beyond the paper (documented in DESIGN.md): optional
-//! residual-based early stopping, and divergence detection that turns
-//! a too-optimistic `δ` into a reported error instead of garbage.
+//! Extensions beyond the paper: optional residual-based early
+//! stopping, and divergence detection that turns a too-optimistic `δ`
+//! into a reported error instead of garbage.
 
 use crate::error::{SolveProgress, SolverError};
 use parlap_linalg::interrupt::{InterruptHandle, InterruptReason};

@@ -60,13 +60,19 @@
 //!
 //! # Group commit
 //!
-//! One background driver thread per service runs the batch loop: it
-//! drains every admitted request the moment it is idle, drops the
-//! expired and the cancelled, groups the rest by `eps`, and drives one
+//! Each service runs one background driver thread per worker of the
+//! pool its batches run on (see [`ServiceConfig::num_threads`]). All
+//! drivers share the one admission queue and run the same batch loop:
+//! an idle driver drains every admitted request, drops the expired and
+//! the cancelled, groups the rest by `eps`, and drives one
 //! [`LaplacianSolver::solve_batch`] call per group — each request
 //! solved in parallel across the pool, each solve internally parallel;
-//! the scheduler composes the two levels. Outcomes are published
-//! per-request: a request that fails, fails alone. A panic inside a
+//! the scheduler composes the two levels. A request that arrives while
+//! a batch is solving starts at once on an idle driver, so concurrent
+//! solves too small to fan out (below the kernels' parallel cutoff)
+//! run side by side on separate workers; requests that arrive while
+//! every driver is busy coalesce into the next batch. Outcomes are
+//! published per-request: a request that fails, fails alone. A panic inside a
 //! solve (a bug, not bad input) is caught by the driver and published
 //! as [`SolverError::InvariantViolation`] to **every** request of the
 //! affected group — the same outcome for all batch-mates, whichever
@@ -91,6 +97,7 @@ use parlap_linalg::interrupt::InterruptHandle;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Admission and compute configuration for a [`SolveService`].
@@ -103,8 +110,11 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Dedicated compute pool size: `Some(t)` builds a pool of `t`
     /// workers (`Some(0)` = automatic sizing) and `install`s every
-    /// batch on it; `None` solves on the driver thread's ambient pool
-    /// (the global pool).
+    /// batch on it; `None` solves on the drivers' ambient pool (the
+    /// global pool). The pool's worker count also sets the number of
+    /// driver threads, one per worker — for `None`, the
+    /// [`rayon::current_num_threads`] of the constructing thread,
+    /// which is the global pool's size outside any pool.
     pub num_threads: Option<usize>,
 }
 
@@ -181,7 +191,7 @@ struct Pending {
 /// drain — never while solving.
 struct QueueState {
     queue: Vec<Pending>,
-    /// Set by the last dropping handle; the driver exits once the
+    /// Set by the last dropping handle; each driver exits once the
     /// queue is also drained.
     shutdown: bool,
 }
@@ -199,16 +209,15 @@ struct ServiceCounters {
     panics: AtomicU64,
 }
 
-/// State shared by every handle, every ticket, and the driver thread.
-/// The solver sits behind an `Arc` so registry shards can share one
-/// deterministic build across several services.
+/// State shared by every handle, every ticket, and the driver threads.
 struct Shared {
-    solver: Arc<LaplacianSolver>,
-    /// Dedicated compute pool; `None` uses the driver's ambient pool.
+    solver: LaplacianSolver,
+    /// Dedicated compute pool; `None` uses the drivers' ambient pool.
     pool: Option<rayon::ThreadPool>,
     state: Mutex<QueueState>,
-    /// Signaled at every enqueue and at shutdown; the driver is the
-    /// only waiter.
+    /// Idle drivers wait here. An enqueue wakes one of them (a busy
+    /// driver rechecks the queue before it waits again, so no request
+    /// is stranded); shutdown wakes them all.
     work: Condvar,
     counters: ServiceCounters,
     capacity: usize,
@@ -243,10 +252,30 @@ pub struct ServiceStats {
     pub panics: u64,
 }
 
-/// Owns the driver thread; joined when the last handle drops.
+/// Owns the driver threads; all are joined when the last handle drops.
 struct ServiceInner {
     shared: Arc<Shared>,
-    driver: Option<std::thread::JoinHandle<()>>,
+    drivers: Vec<JoinHandle<()>>,
+}
+
+impl ServiceInner {
+    /// Start `count` drivers through `spawn`. If a spawn fails, the
+    /// partly built `ServiceInner` drops on the way out, which signals
+    /// shutdown and joins the drivers already started.
+    fn start(
+        shared: Arc<Shared>,
+        count: usize,
+        mut spawn: impl FnMut(usize, Arc<Shared>) -> std::io::Result<JoinHandle<()>>,
+    ) -> Result<Self, SolverError> {
+        let mut inner = ServiceInner { shared, drivers: Vec::with_capacity(count) };
+        for i in 0..count {
+            let driver = spawn(i, Arc::clone(&inner.shared)).map_err(|e| {
+                SolverError::InvalidOption(format!("failed to spawn service driver: {e}"))
+            })?;
+            inner.drivers.push(driver);
+        }
+        Ok(inner)
+    }
 }
 
 impl Drop for ServiceInner {
@@ -256,8 +285,8 @@ impl Drop for ServiceInner {
             st.shutdown = true;
         }
         self.shared.work.notify_all();
-        if let Some(handle) = self.driver.take() {
-            // The driver never panics (solve panics are caught and
+        for handle in self.drivers.drain(..) {
+            // Drivers never panic (solve panics are caught and
             // published), so join errors are unreachable in practice.
             let _ = handle.join();
         }
@@ -302,8 +331,8 @@ impl fmt::Debug for SolveService {
 
 impl SolveService {
     /// Wrap a built solver with the default [`ServiceConfig`]: solves
-    /// run on the driver thread's ambient rayon pool (the global pool,
-    /// sized by `RAYON_NUM_THREADS` / the machine's parallelism).
+    /// run on the drivers' ambient rayon pool (the global pool, sized
+    /// by `RAYON_NUM_THREADS` / the machine's parallelism).
     pub fn new(solver: LaplacianSolver) -> Self {
         Self::with_config(solver, ServiceConfig::default())
             .expect("default service config cannot fail")
@@ -325,16 +354,6 @@ impl SolveService {
         solver: LaplacianSolver,
         config: ServiceConfig,
     ) -> Result<Self, SolverError> {
-        Self::with_config_arc(Arc::new(solver), config)
-    }
-
-    /// [`SolveService::with_config`] over a shared solver: several
-    /// services (e.g. the registry's per-key shards) can serve one
-    /// deterministic build without duplicating the factorization.
-    pub fn with_config_arc(
-        solver: Arc<LaplacianSolver>,
-        config: ServiceConfig,
-    ) -> Result<Self, SolverError> {
         let pool = match config.num_threads {
             Some(t) => {
                 Some(rayon::ThreadPoolBuilder::new().num_threads(t).build().map_err(|e| {
@@ -343,34 +362,15 @@ impl SolveService {
             }
             None => None,
         };
-        let shared = Arc::new(Shared {
-            solver,
-            pool,
-            state: Mutex::new(QueueState { queue: Vec::new(), shutdown: false }),
-            work: Condvar::new(),
-            counters: ServiceCounters {
-                requests: AtomicU64::new(0),
-                batches: AtomicU64::new(0),
-                largest_batch: AtomicUsize::new(0),
-                max_queue_len: AtomicUsize::new(0),
-                rejected: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-                expired: AtomicU64::new(0),
-                cancelled: AtomicU64::new(0),
-                panics: AtomicU64::new(0),
-            },
-            capacity: config.queue_capacity,
-        });
-        let driver = {
-            let shared = Arc::clone(&shared);
+        let drivers =
+            pool.as_ref().map_or_else(rayon::current_num_threads, |p| p.current_num_threads());
+        let shared = Shared::new(solver, pool, config.queue_capacity);
+        let inner = ServiceInner::start(shared, drivers, |i, shared| {
             std::thread::Builder::new()
-                .name("parlap-service-driver".into())
+                .name(format!("parlap-service-driver-{i}"))
                 .spawn(move || driver_loop(shared))
-                .map_err(|e| {
-                    SolverError::InvalidOption(format!("failed to spawn service driver: {e}"))
-                })?
-        };
-        Ok(SolveService { inner: Arc::new(ServiceInner { shared, driver: Some(driver) }) })
+        })?;
+        Ok(SolveService { inner: Arc::new(inner) })
     }
 
     /// The wrapped solver (read-only: chain stats, cost model,
@@ -380,8 +380,8 @@ impl SolveService {
     }
 
     /// Number of admitted requests currently waiting for a batch (an
-    /// in-flight batch no longer counts). The registry's shard
-    /// dispatch uses this as its load signal.
+    /// in-flight batch no longer counts) — a load signal for callers
+    /// that route between services.
     pub fn queue_len(&self) -> usize {
         self.inner.shared.state.lock().unwrap().queue.len()
     }
@@ -476,7 +476,7 @@ impl SolveService {
             shared.counters.requests.fetch_add(1, Ordering::Relaxed);
             shared.counters.max_queue_len.fetch_max(len, Ordering::Relaxed);
         }
-        shared.work.notify_all();
+        shared.work.notify_one();
         Ok(SolveTicket { service: self.clone(), slot, interrupt })
     }
 
@@ -500,7 +500,7 @@ impl SolveService {
 /// without waiting is allowed (the request still runs and its outcome
 /// is discarded); call [`SolveTicket::cancel`] to also drop the
 /// request from the queue before it costs a solve. A live ticket
-/// keeps its service (and driver thread) alive.
+/// keeps its service (and its driver threads) alive.
 pub struct SolveTicket {
     service: SolveService,
     slot: Arc<Slot>,
@@ -668,8 +668,8 @@ impl std::future::Future for SolveTicket {
     }
 }
 
-/// The background group-commit loop: drain, filter, batch, publish.
-/// Exits only at shutdown, after draining every remaining request.
+/// One driver's group-commit loop: drain, filter, batch, publish.
+/// Exits only at shutdown, once the queue is drained.
 fn driver_loop(shared: Arc<Shared>) {
     loop {
         let batch = {
@@ -689,6 +689,27 @@ fn driver_loop(shared: Arc<Shared>) {
 }
 
 impl Shared {
+    fn new(solver: LaplacianSolver, pool: Option<rayon::ThreadPool>, capacity: usize) -> Arc<Self> {
+        Arc::new(Shared {
+            solver,
+            pool,
+            state: Mutex::new(QueueState { queue: Vec::new(), shutdown: false }),
+            work: Condvar::new(),
+            counters: ServiceCounters {
+                requests: AtomicU64::new(0),
+                batches: AtomicU64::new(0),
+                largest_batch: AtomicUsize::new(0),
+                max_queue_len: AtomicUsize::new(0),
+                rejected: AtomicU64::new(0),
+                shed: AtomicU64::new(0),
+                expired: AtomicU64::new(0),
+                cancelled: AtomicU64::new(0),
+                panics: AtomicU64::new(0),
+            },
+            capacity,
+        })
+    }
+
     /// Drive one coalesced batch: drop the cancelled and the expired
     /// (before they cost anything), group the rest by `eps` (requests
     /// in a `solve_batch` call share one accuracy target), solve each
@@ -961,8 +982,8 @@ mod tests {
 
     #[test]
     fn ambient_pool_service_works_from_external_threads() {
-        // No dedicated pool: the driver thread routes batch compute
-        // through the global pool's lock-free injector.
+        // No dedicated pool: the drivers route batch compute through
+        // the global pool's lock-free injector.
         let (svc, n) = grid_service(None);
         let handles: Vec<_> = (0..3)
             .map(|c| {
@@ -1087,15 +1108,70 @@ mod tests {
 
     #[test]
     fn pending_tickets_survive_dropping_the_last_service_handle() {
-        let (svc, n) = grid_service(Some(1));
-        let tickets: Vec<_> =
-            (0..4).map(|s| svc.submit(&random_demand(n, s), 1e-6).expect("submit")).collect();
-        // Tickets hold the service alive; dropping the user's handle
-        // must not tear down the driver under them.
-        drop(svc);
-        for t in tickets {
-            assert!(t.wait().expect("serve").relative_residual.is_finite());
+        for threads in [1, 2] {
+            drop_last_handle_while_every_driver_holds_a_batch(threads);
         }
+    }
+
+    /// Drop the user's handle and then every ticket — the last handles
+    /// — while each driver is solving its own batch and one more
+    /// request waits in the queue. The drop must still publish every
+    /// outcome and join every driver before it returns.
+    fn drop_last_handle_while_every_driver_holds_a_batch(threads: usize) {
+        let g = generators::grid2d(14, 14);
+        let n = g.num_vertices();
+        // Overestimating δ without the error certificate runs the
+        // paper's fixed ⌈e^{2δ} ln(1/ε)⌉ outer iterations: a solve slow
+        // enough to still be running when the handles drop.
+        let options =
+            SolverOptions { seed: 7, delta: 2.5, certify_error: false, ..SolverOptions::default() };
+        let solver = LaplacianSolver::build(&g, options).expect("build");
+        let svc = SolveService::with_threads(solver, threads).expect("service");
+        let shared = Arc::clone(&svc.inner.shared);
+        let mut tickets = Vec::new();
+        for k in 0..threads {
+            tickets.push(svc.submit(&random_demand(n, k as u64), 1e-6).expect("submit"));
+            // A driver counts a batch before it solves it.
+            while svc.stats().batches < tickets.len() as u64 {
+                thread::yield_now();
+            }
+        }
+        tickets.push(svc.submit(&random_demand(n, 99), 1e-6).expect("submit"));
+        assert!(tickets.iter().all(|t| !t.is_finished()), "a driver finished before the drop");
+        let slots: Vec<_> = tickets.iter().map(|t| Arc::clone(&t.slot)).collect();
+        drop(svc);
+        drop(tickets);
+        assert_eq!(Arc::strong_count(&shared), 1, "a driver outlived the last handle");
+        for slot in &slots {
+            assert!(
+                matches!(&slot.state.lock().unwrap().ticket, TicketState::Done(Ok(_))),
+                "an outcome was lost at shutdown ({threads} workers)"
+            );
+        }
+    }
+
+    /// A driver that fails to spawn fails the constructor, and the
+    /// drivers already started are joined before it returns.
+    #[test]
+    fn failed_driver_spawn_joins_the_started_drivers() {
+        use std::sync::atomic::AtomicBool;
+        let g = generators::grid2d(6, 6);
+        let solver = LaplacianSolver::build(&g, SolverOptions::default()).expect("build");
+        let shared = Shared::new(solver, None, 1);
+        let exited = Arc::new(AtomicBool::new(false));
+        let result = ServiceInner::start(Arc::clone(&shared), 3, |i, shared| {
+            if i == 1 {
+                return Err(std::io::Error::other("injected spawn failure"));
+            }
+            let exited = Arc::clone(&exited);
+            thread::Builder::new().spawn(move || {
+                driver_loop(shared);
+                exited.store(true, Ordering::SeqCst);
+            })
+        });
+        assert!(matches!(result, Err(SolverError::InvalidOption(_))));
+        assert!(exited.load(Ordering::SeqCst), "the started driver was not joined");
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     /// A minimal block-on executor: park the thread between polls, let

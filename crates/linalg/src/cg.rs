@@ -9,7 +9,9 @@
 //!    method the paper's nearly-linear solvers are measured against.
 //! 3. **Extension** — PCG with the block-Cholesky preconditioner is a
 //!    more robust outer loop than Richardson when the user picks an
-//!    aggressive `α` (documented as an extension in DESIGN.md).
+//!    aggressive `α`; the solver also falls back to it when
+//!    Richardson's error certificate stalls (ARCHITECTURE.md, "The
+//!    solve pipeline", step 5).
 //!
 //! Laplacians are singular with kernel `span(1)` on connected graphs,
 //! so right-hand sides and iterates are projected onto `1⊥`.

@@ -9,9 +9,9 @@
 //! per-iteration cost and, unlike PCG, no inner products (attractive
 //! in the PRAM model: no extra `O(log n)`-depth reductions per step).
 //!
-//! This is an *extension* beyond the paper (documented in DESIGN.md);
-//! for the small constant-κ preconditioners the chain produces, the
-//! gain over Richardson is a modest constant.
+//! This is an *extension* beyond the paper, whose outer loop is
+//! Richardson (Algorithm 5); for the small constant-κ preconditioners
+//! the chain produces, the gain over Richardson is a modest constant.
 
 use crate::interrupt::{InterruptHandle, InterruptReason};
 use crate::op::LinOp;

@@ -1,9 +1,10 @@
 //! Serving front-end: build the solver once, then serve concurrent
 //! solve requests from many client threads through a `SolveService`.
 //!
-//! The service admits requests into a bounded queue and a background
-//! driver thread coalesces whatever has accumulated into batches
-//! (group commit), fanning each batch out over the compute pool.
+//! The service admits requests into a bounded queue and background
+//! driver threads, one per compute-pool worker, coalesce whatever has
+//! accumulated into batches (group commit), fanning each batch out
+//! over the pool.
 //! Clients hold `SolveTicket`s — future-style handles they can wait
 //! on, poll, or cancel — so a waiting client costs no OS thread on the
 //! service side. Outputs are bit-identical to sequential `solve` calls

@@ -408,7 +408,6 @@ fn ticket_and_registry_paths_identical_to_direct_solve_at_1_2_8_threads() {
             RegistryConfig {
                 memory_budget_bytes: usize::MAX,
                 service: ServiceConfig { num_threads: Some(threads), ..Default::default() },
-                ..Default::default()
             },
             move |seed: &u64| {
                 LaplacianSolver::build(

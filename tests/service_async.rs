@@ -1,16 +1,14 @@
 //! Integration tests for the async serving tier: bounded admission
 //! under a client storm, deadline enforcement at batch formation *and*
 //! mid-solve, ticket cancellation (including cancelling a solve
-//! already in flight), and the keyed registry's LRU and sharding
-//! behavior — including the 1-worker dedicated-pool configuration CI
-//! exercises explicitly (a single compute worker must never deadlock
-//! the driver).
+//! already in flight), concurrent dispatch across the service's
+//! drivers, and the keyed registry's LRU behavior — including the
+//! 1-worker dedicated-pool configuration CI exercises explicitly (a
+//! single compute worker must never deadlock the driver).
 //!
 //! Pool sizes default to small fixed values but honor
 //! `PARLAP_SERVICE_POOL_THREADS` so the CI matrix can pin every
-//! dedicated pool in this file to one worker; registries honor
-//! `PARLAP_SHARDS_PER_KEY` through `RegistryConfig::default()`, which
-//! a dedicated CI leg pins to 3.
+//! dedicated pool in this file to one worker.
 
 use parlap::prelude::*;
 use std::time::{Duration, Instant};
@@ -275,7 +273,6 @@ fn registry_keeps_residency_under_budget_across_key_churn() {
         RegistryConfig {
             memory_budget_bytes: budget,
             service: ServiceConfig { num_threads: Some(pool_threads()), ..Default::default() },
-            ..Default::default()
         },
         builder,
     );
@@ -305,7 +302,6 @@ fn registry_one_worker_pool_no_deadlock() {
         RegistryConfig {
             memory_budget_bytes: usize::MAX,
             service: ServiceConfig { num_threads: Some(1), ..Default::default() },
-            ..Default::default()
         },
         |side: &usize| {
             let g = generators::grid2d(*side, *side);
@@ -373,17 +369,70 @@ fn expired_deadline_resolves_in_fraction_of_solve_time() {
     assert_eq!(service.stats().expired, 1);
 }
 
+/// Give each of the service's drivers (one per pool worker) its own
+/// batch of one slow request: submit one at a time and wait for each
+/// to start a new batch while every earlier one is still solving.
+/// Returns the tickets, all still pending.
+fn occupy_every_driver(service: &SolveService, workers: usize, eps: f64) -> Vec<SolveTicket> {
+    let n = service.solver().dim();
+    let spin_deadline = Instant::now() + Duration::from_secs(60);
+    let mut tickets = Vec::with_capacity(workers);
+    for k in 0..workers {
+        let b = parlap::linalg::vector::random_demand(n, 100 + k as u64);
+        tickets.push(service.submit(&b, eps).unwrap());
+        // A driver counts a batch before it solves it.
+        while service.stats().batches < tickets.len() as u64 {
+            assert!(Instant::now() < spin_deadline, "batch {k} never formed");
+            std::thread::yield_now();
+        }
+        assert!(
+            tickets.iter().all(|t| !t.is_finished()),
+            "batch {k} started only after an earlier solve had finished"
+        );
+    }
+    tickets
+}
+
+/// A request that arrives while a batch is solving starts at once on
+/// an idle worker instead of queueing behind the busy one: with two
+/// workers, two slow requests are both in flight together. Requests
+/// that arrive while both are busy wait and coalesce into one batch.
+#[test]
+fn second_request_starts_while_the_first_is_solving() {
+    let service = SolveService::with_config(
+        build_slow_solver(12, 9),
+        ServiceConfig { num_threads: Some(2), ..ServiceConfig::default() },
+    )
+    .unwrap();
+    let n = service.solver().dim();
+    let slow = occupy_every_driver(&service, 2, 1e-10);
+    assert_eq!(service.stats().batches, 2);
+    let queued: Vec<_> = (0..2)
+        .map(|k| service.submit(&parlap::linalg::vector::random_demand(n, 200 + k), 0.5).unwrap())
+        .collect();
+    for t in &slow {
+        assert!(t.cancel(), "both slow requests must still be in flight");
+    }
+    for t in queued {
+        assert!(t.wait().is_ok());
+    }
+    let stats = service.stats();
+    assert_eq!((stats.batches, stats.largest_batch), (3, 2), "queued requests must coalesce");
+}
+
 /// Regression: a ticket cancelled *after* its batch is in flight used
 /// to be ignored until the whole eps-group finished. Cancellation now
-/// trips the in-solve interrupt flag, so the driver is free again long
-/// before the uninterrupted solve would have completed — bounded here
-/// by how quickly a follow-up request is answered.
+/// trips the in-solve interrupt flag, so the drivers are free again
+/// long before the uninterrupted solves would have completed — bounded
+/// here by how quickly a follow-up request is answered. Every driver
+/// holds a cancelled solve, so only a driver the cancel freed can
+/// answer the follow-up.
 #[test]
 fn mid_solve_cancel_frees_the_driver_promptly() {
     const EPS: f64 = 1e-10;
     let solver = build_slow_solver(12, 9);
     let n = solver.dim();
-    let b = parlap::linalg::vector::random_demand(n, 2);
+    let b = parlap::linalg::vector::random_demand(n, 100);
     let t0 = Instant::now();
     solver.solve(&b, EPS).expect("uninterrupted solve");
     let uninterrupted = t0.elapsed();
@@ -392,18 +441,13 @@ fn mid_solve_cancel_frees_the_driver_promptly() {
         ServiceConfig { num_threads: Some(pool_threads()), ..ServiceConfig::default() },
     )
     .unwrap();
-    let ticket = service.submit(&b, EPS).unwrap();
-    // Wait until the batch is actually in flight (the driver counts a
-    // batch before solving it), then cancel mid-solve.
-    let spin_deadline = Instant::now() + Duration::from_secs(60);
-    while service.stats().batches == 0 {
-        assert!(Instant::now() < spin_deadline, "batch never formed");
-        std::thread::yield_now();
-    }
+    let tickets = occupy_every_driver(&service, pool_threads(), EPS);
     let t0 = Instant::now();
-    assert!(ticket.cancel(), "cancel must win while the solve is in flight");
-    // A follow-up request is only answered once the driver is free:
-    // its completion time bounds how long the cancelled solve kept
+    for t in &tickets {
+        assert!(t.cancel(), "cancel must win while the solve is in flight");
+    }
+    // A follow-up request is only answered once a driver is free: its
+    // completion time bounds how long the cancelled solves kept
     // running. The follow-up's own cost is small (coarse eps).
     let follow_up =
         service.solve(&parlap::linalg::vector::random_demand(n, 3), 0.5).expect("follow-up");
@@ -411,11 +455,13 @@ fn mid_solve_cancel_frees_the_driver_promptly() {
     assert!(follow_up.relative_residual.is_finite());
     assert!(
         freed_after < uninterrupted / 2,
-        "driver still busy {freed_after:?} after a mid-solve cancel; \
+        "drivers still busy {freed_after:?} after a mid-solve cancel; \
          the uninterrupted solve takes {uninterrupted:?}"
     );
-    assert!(matches!(ticket.wait().unwrap_err(), SolverError::Cancelled { .. }));
-    assert_eq!(service.stats().cancelled, 1);
+    for t in tickets {
+        assert!(matches!(t.wait().unwrap_err(), SolverError::Cancelled { .. }));
+    }
+    assert_eq!(service.stats().cancelled, pool_threads() as u64);
 }
 
 /// `wait_deadline` at the exact boundary: a deadline of "now" on a
@@ -443,67 +489,4 @@ fn wait_deadline_exactly_at_deadline_returns_published_outcome() {
     // The outcome is consumed exactly once: the same expired wait on a
     // consumed ticket cleanly reports `None`.
     assert!(ticket.wait_deadline(Instant::now()).is_none());
-}
-
-/// Sharding is load-balancing only: responses are bit-identical at
-/// `shards_per_key` 1 and 3, per-shard stats sum to the registry
-/// total for the key, and the factorization is still built once.
-#[test]
-fn sharded_registry_is_bit_identical_and_stats_consistent() {
-    let builder = |side: &usize| {
-        let g = generators::grid2d(*side, *side);
-        LaplacianSolver::build(&g, SolverOptions { seed: *side as u64, ..SolverOptions::default() })
-    };
-    let make = |shards: usize| {
-        SolverRegistry::with_config(
-            RegistryConfig {
-                memory_budget_bytes: usize::MAX,
-                service: ServiceConfig { num_threads: Some(pool_threads()), ..Default::default() },
-                shards_per_key: shards,
-            },
-            builder,
-        )
-    };
-    let (reg1, reg3) = (make(1), make(3));
-    const REQUESTS: u64 = 9;
-    for r in 0..REQUESTS {
-        let b = parlap::linalg::vector::random_demand(144, r);
-        let one = reg1.solve(&12, &b, 1e-6).expect("shards=1").solution;
-        let three = reg3.solve(&12, &b, 1e-6).expect("shards=3").solution;
-        let one: Vec<u64> = one.iter().map(|f| f.to_bits()).collect();
-        let three: Vec<u64> = three.iter().map(|f| f.to_bits()).collect();
-        assert_eq!(one, three, "request {r}: shard placement changed the bits");
-    }
-    assert_eq!(reg3.shard_stats(&12).unwrap().len(), 3);
-    let agg = reg3.key_stats(&12).unwrap();
-    assert_eq!(agg.requests, REQUESTS, "per-shard stats must sum to the registry total");
-    assert_eq!(reg3.stats().misses, 1, "sharding must not multiply builds");
-}
-
-/// Eviction never orphans an in-flight client of *any* shard: the
-/// client's handle keeps its shard (and the shared factorization)
-/// alive until its ticket resolves, even after the registry drops the
-/// whole sharded entry.
-#[test]
-fn sharded_eviction_does_not_orphan_inflight_clients() {
-    let registry = SolverRegistry::with_config(
-        RegistryConfig {
-            memory_budget_bytes: usize::MAX,
-            service: ServiceConfig { num_threads: Some(pool_threads()), ..Default::default() },
-            shards_per_key: 3,
-        },
-        |side: &usize| {
-            let g = generators::grid2d(*side, *side);
-            LaplacianSolver::build(
-                &g,
-                SolverOptions { seed: *side as u64, ..SolverOptions::default() },
-            )
-        },
-    );
-    let service = registry.get(&12).expect("build");
-    let ticket = service.submit(&parlap::linalg::vector::random_demand(144, 8), 1e-6).unwrap();
-    assert!(registry.evict(&12), "manual evict");
-    assert!(!registry.contains(&12));
-    assert!(ticket.wait().expect("shard orphaned by eviction").relative_residual.is_finite());
-    assert!(service.solve(&parlap::linalg::vector::random_demand(144, 9), 1e-6).is_ok());
 }
