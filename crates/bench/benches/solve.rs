@@ -16,7 +16,11 @@ fn bench_solve(c: &mut Criterion) {
     for fam in [Family::Grid2d, Family::WeightedGrid] {
         let g = fam.build(10_000, 3);
         let b = random_demand(g.num_vertices(), 7);
-        let rich = LaplacianSolver::build(&g, SolverOptions::default()).expect("build");
+        let rich = LaplacianSolver::build(
+            &g,
+            SolverOptions { outer: OuterMethod::Richardson, ..Default::default() },
+        )
+        .expect("build");
         group.bench_with_input(
             BenchmarkId::new("parlap_richardson", fam.name()),
             &(&rich, &b),

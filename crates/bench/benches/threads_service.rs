@@ -27,7 +27,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use parlap_bench::workloads::{deadline_storm, ticket_storm, Family};
 use parlap_core::registry::SolverRegistry;
 use parlap_core::service::{ServiceConfig, SolveService};
-use parlap_core::solver::{LaplacianSolver, SolverOptions};
+use parlap_core::solver::{LaplacianSolver, OuterMethod, SolverOptions};
 use parlap_linalg::vector::random_demand;
 
 fn thread_counts() -> Vec<usize> {
@@ -160,13 +160,18 @@ fn bench_deadline_shed_storm(c: &mut Criterion) {
             BenchmarkId::new("budget_500us_4x8", threads),
             &threads,
             |bench, &t| {
-                // Overestimated δ with a fixed iteration count makes
-                // every solve slow and the same cost, so a 500 µs
-                // budget dooms most requests — the measured p99 is the
-                // shed path, not solve throughput.
+                // Overestimated δ with Richardson's fixed iteration
+                // count makes every solve slow and the same cost, so a
+                // 500 µs budget dooms most requests — the measured p99
+                // is the shed path, not solve throughput.
                 let solver = LaplacianSolver::build(
                     &g,
-                    SolverOptions { delta: 2.0, certify_error: false, ..SolverOptions::default() },
+                    SolverOptions {
+                        delta: 2.0,
+                        outer: OuterMethod::Richardson,
+                        certify_error: false,
+                        ..SolverOptions::default()
+                    },
                 )
                 .expect("build");
                 let service = SolveService::with_threads(solver, t).expect("pool");

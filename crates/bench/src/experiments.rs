@@ -39,9 +39,11 @@ pub fn e01_solve_accuracy(quick: bool) {
     println!("Claim: ‖x̃ − L⁺b‖_L ≤ ε‖L⁺b‖_L for every requested ε.\n");
     let n = if quick { 900 } else { 2500 };
     let mut t = Table::new(&["family", "n", "m", "eps", "iterations", "L-norm error", "ok"]);
+    // The paper's own outer loop, Algorithm 5.
+    let opts = SolverOptions { outer: OuterMethod::Richardson, ..SolverOptions::default() };
     for fam in Family::ALL {
         let g = fam.build(n, 3);
-        let solver = LaplacianSolver::build(&g, SolverOptions::default()).expect("build");
+        let solver = LaplacianSolver::build(&g, opts.clone()).expect("build");
         let b = random_demand(g.num_vertices(), 17);
         for eps in [1e-2, 1e-4, 1e-6, 1e-8] {
             let out = solver.solve(&b, eps).expect("solve");
@@ -584,7 +586,11 @@ pub fn e16_end_to_end(quick: bool) {
         // parlap Richardson.
         {
             let t0 = Instant::now();
-            let solver = LaplacianSolver::build(&g, SolverOptions::default()).expect("build");
+            let solver = LaplacianSolver::build(
+                &g,
+                SolverOptions { outer: OuterMethod::Richardson, ..Default::default() },
+            )
+            .expect("build");
             let bms = ms(t0);
             let t1 = Instant::now();
             let out = solver.solve(&b, 1e-8).expect("solve");

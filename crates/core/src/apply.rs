@@ -501,12 +501,17 @@ mod tests {
 
     /// The backend's trait apply (prebuilt Jacobi operators) is
     /// bit-identical to a fresh `ChainApply` over the same chain.
+    /// Pinned to f64: under `F32` the trait apply runs the f32 shadow
+    /// chain, while a fresh `ChainApply` is always f64.
     #[test]
     fn backend_apply_matches_fresh_chain_apply() {
         let g = generators::grid2d(18, 18);
-        let backend =
-            ChainBackend::build(&g, &SolverOptions { seed: 4, ..SolverOptions::default() })
-                .expect("build");
+        let opts = SolverOptions {
+            seed: 4,
+            inner_precision: InnerPrecision::F64,
+            ..SolverOptions::default()
+        };
+        let backend = ChainBackend::build(&g, &opts).expect("build");
         let b = random_demand(324, 6);
         let mut via_trait = vec![0.0; 324];
         Preconditioner::apply(&backend, &b, &mut via_trait);

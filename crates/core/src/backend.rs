@@ -4,7 +4,7 @@
 //! [`crate::apply`]) is one way to build an operator `W ≈ L⁺`;
 //! unsmoothed-aggregation multigrid ([`crate::multigrid`], after LAMG
 //! and Konolige's parallel Laplacian solver) is another. Everything
-//! above the preconditioner — the outer Richardson/PCG/Chebyshev loop,
+//! above the preconditioner — the outer PCG/Richardson loop,
 //! the serving tier, the registry's byte budgets — only needs the
 //! contract captured by [`Preconditioner`]:
 //!
@@ -194,7 +194,7 @@ pub trait Preconditioner: Send + Sync + std::fmt::Debug {
 
 /// A borrowed [`Preconditioner`] viewed as a
 /// [`LinOp`](parlap_linalg::op::LinOp) — the shape the outer
-/// Richardson/PCG/Chebyshev loops consume.
+/// PCG and Richardson loops consume.
 #[derive(Clone, Copy, Debug)]
 pub struct BackendOp<'a>(pub &'a dyn Preconditioner);
 

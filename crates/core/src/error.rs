@@ -13,9 +13,9 @@ use std::fmt;
 pub struct SolveProgress {
     /// Outer iterations completed before the interrupt was honored.
     pub iterations: usize,
-    /// Last certified `‖·‖_A` error estimate, when the outer loop was
-    /// a certifying Richardson iteration (`None` for PCG/Chebyshev,
-    /// which certify nothing mid-flight).
+    /// Last certified `‖·‖_A` error estimate, when the outer loop
+    /// certifies (`None` under `certify_error: false` and before the
+    /// first certificate is computed).
     pub certified_error: Option<f64>,
 }
 

@@ -98,12 +98,15 @@ pub fn leverage_overestimates(
     // `sparsify` pinned Off: this *is* the cheap inner machinery the
     // pipeline's sparsify stage is built from — letting a process-wide
     // `PARLAP_SPARSIFY=on` default reach it would recurse
-    // (stage → oracle → solver build → stage → …).
+    // (stage → oracle → solver build → stage → …). Its solves are
+    // loose, so they stop on the cheap relative residual rather than
+    // the certified `‖·‖_L` bound.
     let inner = LaplacianSolver::build(
         &gp,
         SolverOptions {
             seed: rng.next_u64(),
             outer: OuterMethod::Pcg,
+            certify_error: false,
             sparsify: crate::solver::SparsifyMode::Off,
             ..SolverOptions::default()
         },

@@ -26,7 +26,8 @@
 //! * [`richardson`] — `PreconRichardson` outer iteration
 //!   (Algorithm 5, Theorem 3.8);
 //! * [`solver`] — the public build-once / solve-many API delivering
-//!   Theorems 1.1 and 1.2;
+//!   Theorems 1.1 and 1.2, with certified PCG as the default outer
+//!   loop;
 //! * [`pipeline`] — the explicit build pipeline behind
 //!   [`solver::LaplacianSolver::build`]: ingest → (optional)
 //!   sparsify → reorder → backend build;

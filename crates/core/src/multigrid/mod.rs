@@ -20,7 +20,7 @@
 //! restrict the residual, recurse, prolongate the correction, two
 //! post-smoothing sweeps. Equal pre/post counts with the symmetric
 //! Jacobi smoother make the cycle operator `B` symmetric positive
-//! semidefinite — which the outer Richardson/PCG/Chebyshev loop
+//! semidefinite — which the outer PCG/Richardson loop
 //! requires of any preconditioner — and the outer loop supplies the
 //! iteration count, so the backend never cycles internally.
 //!

@@ -12,9 +12,8 @@
 //!   built on `H` while the
 //!   outer loop keeps iterating on the original `L_G` — the
 //!   preconditioner boundary absorbs the extra `(1+ε)/(1−ε)` spectral
-//!   slack (certified Richardson with a widened δ, or PCG/Chebyshev
-//!   with fallback), so the ε-guarantee against the dense-pinv oracle
-//!   is unchanged;
+//!   slack (the certified PCG or Richardson stop reads a widened δ),
+//!   so the ε-guarantee against the dense-pinv oracle is unchanged;
 //! * **reorder** — the RCM permutation
 //!   ([`parlap_graph::ordering::rcm_order`], a pure function of the
 //!   *input* graph) renumbers both the CSR and the backend graph;

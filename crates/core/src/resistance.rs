@@ -54,12 +54,15 @@ impl ResistanceOracle {
         // `sparsify` pinned Off: the oracle's inner solver is part of
         // the pipeline's sparsify stage itself, so a process-wide
         // `PARLAP_SPARSIFY=on` default must not re-enter the stage
-        // here (unbounded recursion).
+        // here (unbounded recursion). The sketch needs only loose
+        // solves, so they stop on the cheap relative residual rather
+        // than the certified `‖·‖_L` bound.
         let solver = LaplacianSolver::build(
             g,
             SolverOptions {
                 seed: opts.seed,
                 outer: OuterMethod::Pcg,
+                certify_error: false,
                 sparsify: crate::solver::SparsifyMode::Off,
                 ..SolverOptions::default()
             },

@@ -83,6 +83,15 @@ pub fn richardson_iterations(delta: f64, eps: f64) -> usize {
     ((2.0 * delta).exp() * (1.0 / eps).ln()).ceil().max(1.0) as usize
 }
 
+/// The bound a certified solve drives `√(rᵀBr / bᵀBb)` below:
+/// `½e^{−δ}ε`. The estimate is within `e^δ` of the true relative
+/// `‖·‖_A` error when `B ≈_δ A⁺`, so meeting it leaves a factor-2
+/// margin under `ε`. Richardson's certified loop and the solver's PCG
+/// stop rule both read it.
+pub fn certified_target(delta: f64, eps: f64) -> f64 {
+    0.5 * (-delta).exp() * eps
+}
+
 /// Run `PreconRichardson(A, B, b, δ, ε)`.
 ///
 /// `A` is the (singular, connected-Laplacian) system operator and `B`
@@ -130,7 +139,7 @@ pub fn preconditioned_richardson(
     // bᵀBb ≈ bᵀA⁺b = ‖x*‖²_A within e^δ: the denominator of the
     // certified error estimate. Free (x0 is already computed).
     let bwb = parlap_linalg::vector::dot(&rhs, &x0).max(0.0);
-    let cert_margin = 0.5 * (-opts.delta).exp();
+    let cert_target = certified_target(opts.delta, eps);
     let mut x = x0.clone();
     let mut ax = vec![0.0; n];
     let mut rel_res = f64::INFINITY;
@@ -183,7 +192,7 @@ pub fn preconditioned_richardson(
             let rwr = parlap_linalg::vector::dot(&r, &br).max(0.0);
             let cert = (rwr / bwb).sqrt();
             last_cert = Some(cert);
-            if cert <= cert_margin * eps {
+            if cert <= cert_target {
                 performed = k - 1;
                 break;
             }
@@ -237,7 +246,7 @@ mod tests {
     /// caller trusting it would run zero iterations and return the
     /// zero vector as "converged". (The solver front door rejects such
     /// ε for every outer method; see the solver's edge-case tests for
-    /// the Chebyshev/PCG equivalents.)
+    /// the PCG equivalent.)
     #[test]
     fn iteration_count_clamped_to_one_for_degenerate_eps() {
         for eps in [1.0, 2.0, 1e9, f64::INFINITY, f64::NAN] {

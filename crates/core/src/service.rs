@@ -44,7 +44,7 @@
 //! # Interruption semantics
 //!
 //! The interrupt flag is checked at exactly one place: the top of
-//! each outer Richardson/PCG/Chebyshev iteration, between
+//! each outer PCG/Richardson iteration, between
 //! preconditioner applications (see
 //! [`Preconditioner`](crate::backend::Preconditioner) for why the
 //! apply itself is the unit of non-interruptible work). The check
@@ -795,7 +795,7 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SolverOptions;
+    use crate::solver::{OuterMethod, SolverOptions};
     use parlap_graph::generators;
     use parlap_linalg::vector::random_demand;
     use std::thread;
@@ -1121,10 +1121,15 @@ mod tests {
         let g = generators::grid2d(14, 14);
         let n = g.num_vertices();
         // Overestimating δ without the error certificate runs the
-        // paper's fixed ⌈e^{2δ} ln(1/ε)⌉ outer iterations: a solve slow
-        // enough to still be running when the handles drop.
-        let options =
-            SolverOptions { seed: 7, delta: 2.5, certify_error: false, ..SolverOptions::default() };
+        // paper's fixed ⌈e^{2δ} ln(1/ε)⌉ Richardson iterations: a solve
+        // slow enough to still be running when the handles drop.
+        let options = SolverOptions {
+            seed: 7,
+            delta: 2.5,
+            outer: OuterMethod::Richardson,
+            certify_error: false,
+            ..SolverOptions::default()
+        };
         let solver = LaplacianSolver::build(&g, options).expect("build");
         let svc = SolveService::with_threads(solver, threads).expect("service");
         let shared = Arc::clone(&svc.inner.shared);

@@ -4,9 +4,14 @@
 //! multigraph (Lemma 3.2 or 3.3 according to
 //! [`crate::alpha::SplitStrategy`]), runs
 //! `BlockCholesky` (Theorem 3.9), and keeps the implied operator
-//! `W ≈₁ L⁺` (Theorem 3.10). [`LaplacianSolver::solve`] then runs
-//! `PreconRichardson` for `O(log 1/ε)` outer iterations (Lemma 3.11) —
-//! or, as an extension, PCG with the same preconditioner.
+//! `W ≈₁ L⁺` (Theorem 3.10). [`LaplacianSolver::solve`] then drives
+//! the preconditioner to accuracy ε with an outer loop. The default is
+//! PCG stopped on the certificate `√(rᵀWr / bᵀWb) ≤ ½e^{−δ}ε`, which
+//! bounds the paper's `‖x̃ − L⁺b‖_L ≤ ε‖L⁺b‖_L` when `W ≈_δ L⁺`, in
+//! `O(e^δ log 1/ε)` iterations. The paper's own `PreconRichardson`
+//! (Algorithm 5, Lemma 3.11) reads the same certificate at
+//! `O(e^{2δ} log 1/ε)` iterations and stays selectable through
+//! [`OuterMethod::Richardson`].
 
 use crate::alpha::SplitStrategy;
 use crate::apply::ChainBackend;
@@ -14,9 +19,9 @@ use crate::backend::{BackendKind, BackendOp, Preconditioner};
 use crate::chain::CholeskyChain;
 use crate::error::{SolveProgress, SolverError};
 use crate::pipeline::{Permutation, SparsifyStage};
-use crate::richardson::{preconditioned_richardson, RichardsonOptions};
+use crate::richardson::{certified_target, preconditioned_richardson, RichardsonOptions};
 use parlap_graph::multigraph::MultiGraph;
-use parlap_linalg::cg::{cg_solve, pcg_solve_with};
+use parlap_linalg::cg::{cg_solve, pcg_solve_with, PcgStop};
 use parlap_linalg::csr::CsrMatrix;
 use parlap_linalg::interrupt::{InterruptHandle, InterruptReason};
 use parlap_linalg::op::LinOp;
@@ -24,21 +29,18 @@ use parlap_linalg::vector::dot;
 use parlap_primitives::cost::Cost;
 use parlap_primitives::util::par_tabulate;
 
-/// Outer iteration driving the preconditioner to ε accuracy.
+/// Outer iteration driving the preconditioner to ε accuracy. Both
+/// read ε in the `‖·‖_L` norm under [`SolverOptions::certify_error`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OuterMethod {
-    /// The paper's `PreconRichardson` (Algorithm 5) — fixed
-    /// `⌈e^{2δ} log 1/ε⌉` iterations, ε in the `‖·‖_L` norm.
+    /// The paper's `PreconRichardson` (Algorithm 5): fixed step
+    /// `2/(e^{−δ} + e^{δ})`, `⌈e^{2δ} log 1/ε⌉` iterations.
     Richardson,
-    /// Preconditioned conjugate gradient (extension): ε interpreted as
-    /// a relative residual tolerance; more robust to a low-quality
-    /// chain (aggressively small split factors).
+    /// Preconditioned conjugate gradient (default): `O(e^δ log 1/ε)`
+    /// iterations on the same preconditioner, which must be symmetric
+    /// (both backends are). More robust than Richardson to a
+    /// low-quality chain, since it needs no step size from δ.
     Pcg,
-    /// Chebyshev semi-iteration on the assumed preconditioned interval
-    /// `[e^{-δ}, e^{δ}]` (extension): PCG-like `√κ` acceleration with
-    /// no inner products — no extra `O(log n)`-depth reductions per
-    /// step in the PRAM model. ε is a relative residual tolerance.
-    Chebyshev,
 }
 
 /// Vertex numbering used for the solver's internal working set (CSR
@@ -86,7 +88,7 @@ impl NodeOrdering {
 }
 
 /// Floating-point precision of the *inner* preconditioner applies
-/// (the outer Richardson/PCG/Chebyshev loop is always f64).
+/// (the outer PCG/Richardson loop is always f64).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InnerPrecision {
     /// f64 chain applies (default) — bit-identical to previous
@@ -214,21 +216,26 @@ pub struct SolverOptions {
     pub sample_fraction: f64,
     /// Resampling budget for disconnected walk rounds.
     pub connectivity_retries: usize,
-    /// Assumed preconditioner quality δ for Richardson (Theorem 3.10
-    /// guarantees δ = 1 w.h.p. under Θ(log²n) splitting).
+    /// Assumed preconditioner quality δ (Theorem 3.10 guarantees
+    /// δ = 1 w.h.p. under Θ(log²n) splitting): sets Richardson's step
+    /// and iteration count, and the certified stop's margin
+    /// `½e^{−δ}` for both outer methods.
     pub delta: f64,
-    /// Optional early stop on relative residual (extension; `None`
-    /// runs the paper's fixed iteration count).
-    pub early_stop: Option<f64>,
-    /// Outer method.
+    /// Outer method: [`OuterMethod::Pcg`] by default.
     pub outer: OuterMethod,
-    /// When Richardson detects divergence (chain quality worse than
-    /// the assumed `δ`, e.g. an aggressive split setting), retry with
-    /// PCG on the same preconditioner instead of failing (extension).
+    /// When Richardson diverges, or ends its budget with its
+    /// certificate above `½e^{−δ}ε` (chain quality worse than the
+    /// assumed `δ`, e.g. an aggressive split setting), retry with PCG
+    /// on the same preconditioner instead of failing. Only Richardson
+    /// reads it.
     pub fallback_to_pcg: bool,
-    /// Iterate until the certified `‖·‖_L` error estimate meets ε
-    /// (see [`RichardsonOptions::certify_error`]); `false` runs the
-    /// paper's exact fixed iteration count.
+    /// Stop once the certified `‖·‖_L` error estimate
+    /// `√(rᵀWr / bᵀWb)` is at most `½e^{−δ}ε`, which bounds the true
+    /// relative error by ε when `W ≈_δ L⁺`; the value is reported in
+    /// [`SolveOutcome::certified_error`]. `false` runs Richardson's
+    /// paper-exact fixed iteration count, or stops PCG on the relative
+    /// residual `‖b − Lx‖₂ ≤ ε‖b‖₂` — the cheap, uncertified stop the
+    /// library's loose inner solves use.
     pub certify_error: bool,
     /// `Lx = b` on a connected graph is solvable only for `b ⊥ 1`.
     /// By default (`false`) the solver *projects* `b` onto `1⊥` and
@@ -279,8 +286,7 @@ impl Default for SolverOptions {
             sample_fraction: crate::five_dd::SAMPLE_FRACTION,
             connectivity_retries: 3,
             delta: 1.0,
-            early_stop: None,
-            outer: OuterMethod::Richardson,
+            outer: OuterMethod::Pcg,
             fallback_to_pcg: true,
             certify_error: true,
             require_balanced_rhs: false,
@@ -307,6 +313,13 @@ pub struct SolveOutcome {
     /// True when Richardson diverged and the PCG fallback produced the
     /// answer (see [`SolverOptions::fallback_to_pcg`]).
     pub used_fallback: bool,
+    /// The certified relative `‖·‖_L` error estimate `√(rᵀWr / bᵀWb)`
+    /// of the returned solution (see [`SolverOptions::certify_error`]):
+    /// at most `½e^{−δ}ε`, unless Richardson ran out of budget with
+    /// [`SolverOptions::fallback_to_pcg`] off. `None` under
+    /// `certify_error: false` and for a right-hand side that projects
+    /// to zero.
+    pub certified_error: Option<f64>,
 }
 
 /// A built Laplacian solver: construct once, solve many right-hand
@@ -406,8 +419,9 @@ impl LaplacianSolver {
     /// configured [`SolverOptions::delta`], widened by
     /// `ln((1+ε)/(1−ε))` when the backend was built on an ε-sparsifier
     /// (`e^{-δ'} L_H ≼ L_G ≼ e^{δ'} L_H` needs the extra slack), so
-    /// Richardson's step size and Chebyshev's interval stay valid and
-    /// the solve still meets ε against the original Laplacian.
+    /// Richardson's step size and the certified stop's margin stay
+    /// valid and the solve still meets ε against the original
+    /// Laplacian.
     fn effective_delta(&self) -> f64 {
         match &self.sparsify {
             None => self.options.delta,
@@ -467,9 +481,13 @@ impl LaplacianSolver {
 
     /// Solve `Lx = b` to accuracy `ε`.
     ///
-    /// Richardson mode (`OuterMethod::Richardson`, default): the
-    /// Theorem 1.1 guarantee `‖x̃ − L⁺b‖_L ≤ ε‖L⁺b‖_L` w.h.p.
-    /// PCG mode: `ε` is a relative-residual tolerance.
+    /// With [`SolverOptions::certify_error`] (default), either outer
+    /// method delivers the Theorem 1.1 guarantee
+    /// `‖x̃ − L⁺b‖_L ≤ ε‖L⁺b‖_L` whenever the preconditioner meets its
+    /// assumed δ (w.h.p. for the chain), and reports the certificate
+    /// in [`SolveOutcome::certified_error`]. With `certify_error: false`
+    /// Richardson runs its fixed count and PCG reads `ε` as a
+    /// relative-residual tolerance.
     ///
     /// # Input validation
     ///
@@ -490,7 +508,7 @@ impl LaplacianSolver {
 
     /// [`LaplacianSolver::solve`] with an optional cooperative
     /// [`InterruptHandle`], polled once at the top of every outer
-    /// iteration (Richardson, PCG, or Chebyshev alike). When the
+    /// iteration (PCG or Richardson alike). When the
     /// handle trips, the solve aborts with
     /// [`SolverError::Cancelled`] / [`SolverError::DeadlineExceeded`]
     /// carrying [`SolveProgress`] (iterations completed, last
@@ -528,21 +546,23 @@ impl LaplacianSolver {
         let w = self.preconditioner();
         match self.options.outer {
             OuterMethod::Richardson => {
+                let delta = self.effective_delta();
                 let opts = RichardsonOptions {
-                    delta: self.effective_delta(),
-                    early_stop: self.options.early_stop,
-                    check_divergence: true,
+                    delta,
                     certify_error: self.options.certify_error,
                     interrupt: interrupt.cloned(),
+                    ..RichardsonOptions::default()
                 };
                 match preconditioned_richardson(&self.csr, &w, b, eps, &opts) {
                     Ok(out) => {
-                        // If the certified estimate says we missed ε even
+                        // If the certified estimate missed its target even
                         // after the extended budget, the chain quality is
                         // far below the assumed δ: fall back like a
                         // divergence.
                         if self.options.fallback_to_pcg
-                            && out.certified_error.is_some_and(|ce| ce > eps)
+                            && out
+                                .certified_error
+                                .is_some_and(|ce| ce > certified_target(delta, eps))
                         {
                             let mut fb = self.solve_pcg(&w, b, eps, interrupt)?;
                             fb.used_fallback = true;
@@ -555,6 +575,7 @@ impl LaplacianSolver {
                             relative_residual: out.relative_residual,
                             cost,
                             used_fallback: false,
+                            certified_error: out.certified_error,
                         })
                     }
                     Err(SolverError::Diverged { .. }) if self.options.fallback_to_pcg => {
@@ -566,40 +587,6 @@ impl LaplacianSolver {
                 }
             }
             OuterMethod::Pcg => self.solve_pcg(&w, b, eps, interrupt),
-            OuterMethod::Chebyshev => {
-                let delta = self.effective_delta();
-                let lo = (-delta).exp();
-                let hi = delta.exp();
-                let max_iter = 60 * ((self.n as f64).log2().ceil() as usize + 10);
-                let out = parlap_linalg::chebyshev::chebyshev_solve_with(
-                    &self.csr, &w, b, lo, hi, eps, max_iter, interrupt,
-                );
-                // An interrupted run necessarily misses eps; report the
-                // interruption rather than treating it as divergence
-                // (and never burn a PCG fallback on abandoned work).
-                if let Some(reason) = out.interrupted {
-                    return Err(Self::interrupt_error(reason, out.iterations, None));
-                }
-                if out.relative_residual > eps {
-                    if self.options.fallback_to_pcg {
-                        let mut fb = self.solve_pcg(&w, b, eps, interrupt)?;
-                        fb.used_fallback = true;
-                        return Ok(fb);
-                    }
-                    return Err(SolverError::Diverged {
-                        at_iteration: out.iterations,
-                        growth: out.relative_residual,
-                    });
-                }
-                let cost = self.solve_cost(out.iterations);
-                Ok(SolveOutcome {
-                    solution: out.solution,
-                    iterations: out.iterations,
-                    relative_residual: out.relative_residual,
-                    cost,
-                    used_fallback: false,
-                })
-            }
         }
     }
 
@@ -691,9 +678,14 @@ impl LaplacianSolver {
         interrupt: Option<&InterruptHandle>,
     ) -> Result<SolveOutcome, SolverError> {
         let max_iter = 40 * ((self.n as f64).log2().ceil() as usize + 10);
-        let out = pcg_solve_with(&self.csr, w, b, eps, max_iter, interrupt);
+        let stop = if self.options.certify_error {
+            PcgStop::PreconditionedResidual(certified_target(self.effective_delta(), eps))
+        } else {
+            PcgStop::RelativeResidual(eps)
+        };
+        let out = pcg_solve_with(&self.csr, w, b, stop, max_iter, interrupt);
         if let Some(reason) = out.interrupted {
-            return Err(Self::interrupt_error(reason, out.iterations, None));
+            return Err(Self::interrupt_error(reason, out.iterations, out.preconditioned_residual));
         }
         if !out.converged {
             return Err(SolverError::Diverged {
@@ -708,6 +700,7 @@ impl LaplacianSolver {
             relative_residual: out.relative_residual,
             cost,
             used_fallback: false,
+            certified_error: out.preconditioned_residual,
         })
     }
 
@@ -903,32 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn chebyshev_mode_converges() {
-        let g = generators::gnp_connected(400, 0.015, 9);
-        let o = SolverOptions { outer: OuterMethod::Chebyshev, ..opts(3) };
-        let solver = LaplacianSolver::build(&g, o).expect("build");
-        let b = random_demand(400, 1);
-        let out = solver.solve(&b, 1e-8).expect("solve");
-        assert!(out.relative_residual <= 1e-8 || out.used_fallback);
-        assert!(solver.relative_error(&b, &out.solution) < 1e-5);
-    }
-
-    #[test]
-    fn chebyshev_and_richardson_agree() {
-        let g = generators::grid2d(18, 18);
-        let b = random_demand(324, 6);
-        let rich = LaplacianSolver::build(&g, opts(5)).expect("build");
-        let cheb =
-            LaplacianSolver::build(&g, SolverOptions { outer: OuterMethod::Chebyshev, ..opts(5) })
-                .expect("build");
-        let xr = rich.solve(&b, 1e-9).expect("solve").solution;
-        let xc = cheb.solve(&b, 1e-9).expect("solve").solution;
-        let num: f64 = xr.iter().zip(&xc).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
-        let den: f64 = xr.iter().map(|x| x * x).sum::<f64>().sqrt();
-        assert!(num / den < 1e-6, "disagreement {}", num / den);
-    }
-
-    #[test]
     fn pcg_mode_converges() {
         let g = generators::gnp_connected(400, 0.015, 9);
         let o = SolverOptions { outer: OuterMethod::Pcg, ..opts(3) };
@@ -983,12 +950,12 @@ mod tests {
     /// Degenerate ε — zero, negative, NaN, and the `ε ≥ 1` regime
     /// where a residual-tolerance loop would accept the zero vector as
     /// "converged" — must be rejected up front by *every* outer
-    /// method (the Richardson clamp's Chebyshev/PCG counterpart lives
-    /// here, at the front door).
+    /// method (the Richardson clamp's PCG counterpart lives here, at
+    /// the front door).
     #[test]
     fn degenerate_eps_rejected_for_all_outer_methods() {
         let g = generators::path(8);
-        for outer in [OuterMethod::Richardson, OuterMethod::Pcg, OuterMethod::Chebyshev] {
+        for outer in [OuterMethod::Richardson, OuterMethod::Pcg] {
             let solver =
                 LaplacianSolver::build(&g, SolverOptions { outer, ..opts(0) }).expect("build");
             let b = pair_demand(8, 0, 7);
@@ -1144,7 +1111,7 @@ mod tests {
         // certify_error = false reproduces Algorithm 5 verbatim: the
         // iteration count equals ⌈e^{2δ} log 1/ε⌉ exactly.
         let g = generators::grid2d(15, 15);
-        let o = SolverOptions { certify_error: false, ..opts(3) };
+        let o = SolverOptions { outer: OuterMethod::Richardson, certify_error: false, ..opts(3) };
         let solver = LaplacianSolver::build(&g, o).expect("build");
         let b = random_demand(225, 1);
         let eps = 1e-6f64;
@@ -1179,18 +1146,6 @@ mod tests {
         assert!(out.cost.depth > 0);
         assert!(out.relative_residual.is_finite());
         assert!(!out.used_fallback);
-    }
-
-    #[test]
-    fn early_stop_reduces_iterations() {
-        let g = generators::grid2d(20, 20);
-        let full = LaplacianSolver::build(&g, opts(9)).expect("build");
-        let early = LaplacianSolver::build(&g, SolverOptions { early_stop: Some(1e-4), ..opts(9) })
-            .expect("build");
-        let b = random_demand(400, 10);
-        let a = full.solve(&b, 1e-10).expect("solve");
-        let e = early.solve(&b, 1e-10).expect("solve");
-        assert!(e.iterations < a.iterations);
     }
 
     /// RCM reordering is invisible to callers: the solution comes back
@@ -1383,7 +1338,7 @@ mod tests {
     fn all_outer_methods_honor_interrupt_handle() {
         let g = generators::grid2d(12, 12);
         let b = random_demand(144, 3);
-        for outer in [OuterMethod::Richardson, OuterMethod::Pcg, OuterMethod::Chebyshev] {
+        for outer in [OuterMethod::Richardson, OuterMethod::Pcg] {
             let solver =
                 LaplacianSolver::build(&g, SolverOptions { outer, ..opts(2) }).expect("build");
             let h = InterruptHandle::new();
@@ -1548,6 +1503,120 @@ mod tests {
             off.solve(&b, 1e-7).expect("solve").solution,
             on.solve(&b, 1e-7).expect("solve").solution
         );
+    }
+
+    /// The default outer loop is certified PCG: on a mesh (Auto →
+    /// multigrid) it meets ε in the `‖·‖_L` norm in a fraction of the
+    /// ~147 Richardson iterations, and reports a certificate at most
+    /// `½e^{−δ}ε`.
+    #[test]
+    fn default_pcg_certifies_mesh_solves_in_few_iterations() {
+        let g = generators::grid2d(64, 64);
+        let o = SolverOptions { backend: BackendKind::Auto, ..opts(1) };
+        let solver = LaplacianSolver::build(&g, o).expect("build");
+        assert_eq!(solver.backend_kind(), BackendKind::Multigrid);
+        let eps = 1e-6;
+        for seed in 0..3 {
+            let b = random_demand(g.num_vertices(), 40 + seed);
+            let out = solver.solve(&b, eps).expect("solve");
+            assert!(out.iterations <= 40, "seed {seed}: {} iterations", out.iterations);
+            let cert = out.certified_error.expect("certified by default");
+            assert!(cert <= certified_target(1.0, eps), "seed {seed}: certificate {cert}");
+            let err = solver.relative_error(&b, &out.solution);
+            assert!(err <= eps, "seed {seed}: L-norm error {err}");
+        }
+    }
+
+    /// With the sparsify stage on, δ widens by `ln 4` and Richardson's
+    /// step shrinks; certified PCG's count grows only with `e^δ`.
+    #[test]
+    fn sparsified_dense_solve_needs_few_pcg_iterations() {
+        let g = generators::gnp_connected(400, 0.4, 8);
+        let o =
+            SolverOptions { sparsify: SparsifyMode::On, backend: BackendKind::Chain, ..opts(3) };
+        let solver = LaplacianSolver::build(&g, o).expect("build");
+        assert!(solver.sparsify_stage().is_some(), "the stage must engage");
+        let b = random_demand(400, 5);
+        let out = solver.solve(&b, 1e-6).expect("solve");
+        assert!(out.iterations <= 30, "{} iterations", out.iterations);
+        assert!(solver.relative_error(&b, &out.solution) <= 1e-6);
+    }
+
+    /// `certify_error: false` keeps PCG's relative-residual stop and
+    /// reports no certificate.
+    #[test]
+    fn uncertified_pcg_stops_on_residual() {
+        let g = generators::grid2d(20, 20);
+        let o = SolverOptions { certify_error: false, ..opts(2) };
+        let solver = LaplacianSolver::build(&g, o).expect("build");
+        let out = solver.solve(&random_demand(400, 1), 1e-8).expect("solve");
+        assert!(out.relative_residual <= 1e-8);
+        assert_eq!(out.certified_error, None);
+    }
+
+    /// A backend that trips an interrupt handle on its `after`-th apply:
+    /// lands an interrupt mid-solve without timers.
+    #[derive(Debug)]
+    struct CancelAfter {
+        inner: Box<dyn Preconditioner>,
+        handle: InterruptHandle,
+        after: usize,
+        applies: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Preconditioner for CancelAfter {
+        fn build(_: &MultiGraph, _: &SolverOptions) -> Result<Self, SolverError> {
+            Err(SolverError::InvalidOption("test wrapper".into()))
+        }
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn apply(&self, b: &[f64], out: &mut [f64]) {
+            if self.applies.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1 == self.after {
+                self.handle.cancel();
+            }
+            self.inner.apply(b, out);
+        }
+        fn estimated_bytes(&self) -> usize {
+            self.inner.estimated_bytes()
+        }
+        fn descriptor(&self) -> String {
+            self.inner.descriptor()
+        }
+        fn apply_cost(&self) -> Cost {
+            self.inner.apply_cost()
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// An interrupted certified PCG solve reports the certificate it
+    /// had reached, as Richardson does.
+    #[test]
+    fn interrupted_pcg_reports_its_last_certificate() {
+        let g = generators::grid2d(16, 16);
+        let o = SolverOptions { outer: OuterMethod::Pcg, ..opts(4) };
+        let mut solver = LaplacianSolver::build(&g, o).expect("build");
+        let handle = InterruptHandle::new();
+        let inner = crate::backend::build_backend(&g, &solver.options).expect("build");
+        solver.backend = Box::new(CancelAfter {
+            inner,
+            handle: handle.clone(),
+            after: 4,
+            applies: Default::default(),
+        });
+        match solver.solve_with(&random_demand(256, 2), 1e-10, Some(&handle)).unwrap_err() {
+            SolverError::Cancelled { progress: Some(p) } => {
+                assert_eq!(p.iterations, 3, "one apply before the loop, one per iteration");
+                let cert = p.certified_error.expect("a certifying loop reports its certificate");
+                assert!(cert > 0.0 && cert < 1.0, "certificate {cert}");
+            }
+            other => panic!("expected Cancelled with progress, got {other:?}"),
+        }
     }
 
     /// Auto resolves per graph family and both choices solve.

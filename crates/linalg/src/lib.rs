@@ -14,7 +14,8 @@
 //!   test oracles).
 //! * [`eigen`] — cyclic Jacobi symmetric eigensolver.
 //! * [`cg`] — conjugate gradient and preconditioned CG with `1⊥`
-//!   projection (reference solver and baseline).
+//!   projection (reference solver, baseline, and the solver's default
+//!   certified outer loop).
 //! * [`interrupt`] — cooperative cancellation/deadline tokens polled
 //!   once per outer iteration by the interruptible solver loops.
 //! * [`approx`] — verification of the paper's `≈_ε` (Loewner) relations,
@@ -27,7 +28,6 @@
 
 pub mod approx;
 pub mod cg;
-pub mod chebyshev;
 pub mod csr;
 pub mod dense;
 pub mod eigen;

@@ -25,17 +25,23 @@ fn build_solver(side: usize, seed: u64) -> LaplacianSolver {
     LaplacianSolver::build(&g, SolverOptions { seed, ..SolverOptions::default() }).unwrap()
 }
 
-/// A solver whose solve is deliberately long: `certify_error: false`
-/// runs the paper's fixed `⌈e^{2δ} ln(1/ε)⌉` outer iterations, and
-/// overestimating `δ` inflates that count — the work is real, the
-/// iteration count is known in advance, and the bits stay
-/// deterministic. The interruption tests below need a solve that takes
-/// measurable wall time.
+/// A solver whose solve is deliberately long: Richardson with
+/// `certify_error: false` runs the paper's fixed `⌈e^{2δ} ln(1/ε)⌉`
+/// outer iterations, and overestimating `δ` inflates that count — the
+/// work is real, the iteration count is known in advance, and the bits
+/// stay deterministic. The interruption tests below need a solve that
+/// takes measurable wall time.
 fn build_slow_solver(side: usize, seed: u64) -> LaplacianSolver {
     let g = generators::grid2d(side, side);
     LaplacianSolver::build(
         &g,
-        SolverOptions { seed, delta: 2.5, certify_error: false, ..SolverOptions::default() },
+        SolverOptions {
+            seed,
+            delta: 2.5,
+            outer: OuterMethod::Richardson,
+            certify_error: false,
+            ..SolverOptions::default()
+        },
     )
     .unwrap()
 }

@@ -95,10 +95,13 @@ fn agrees_with_cg_and_ks16() {
 fn pcg_and_richardson_agree() {
     let g = generators::torus2d(18, 18);
     let b = vector::random_demand(324, 2);
-    let rich = LaplacianSolver::build(&g, SolverOptions { seed: 4, ..Default::default() })
-        .expect("build")
-        .solve(&b, 1e-10)
-        .expect("solve");
+    let rich = LaplacianSolver::build(
+        &g,
+        SolverOptions { seed: 4, outer: OuterMethod::Richardson, ..Default::default() },
+    )
+    .expect("build")
+    .solve(&b, 1e-10)
+    .expect("solve");
     let pcg = LaplacianSolver::build(
         &g,
         SolverOptions { seed: 4, outer: OuterMethod::Pcg, ..Default::default() },
@@ -118,7 +121,12 @@ fn divergence_fallback_still_meets_tolerance() {
     // Richardson δ=1 envelope on a nasty weighted instance; the PCG
     // fallback must still deliver.
     let g = generators::exponential_weights(&generators::grid2d(22, 22), 1e4, 31);
-    let o = SolverOptions { split: SplitStrategy::None, seed: 1, ..Default::default() };
+    let o = SolverOptions {
+        split: SplitStrategy::None,
+        seed: 1,
+        outer: OuterMethod::Richardson,
+        ..Default::default()
+    };
     let solver = LaplacianSolver::build(&g, o).expect("build");
     let b = vector::random_demand(484, 3);
     let out = solver.solve(&b, 1e-8).expect("solve (with fallback if needed)");
