@@ -21,12 +21,12 @@ fn bench_walks(c: &mut Criterion) {
             group.throughput(Throughput::Elements(g.num_edges() as u64));
             group.bench_with_input(
                 BenchmarkId::new(fam.name(), n),
-                &(&g, &in_c),
-                |bench, (g, in_c)| {
+                &(&g, &inc, &in_c),
+                |bench, (g, inc, in_c)| {
                     let mut seed = 0u64;
                     bench.iter(|| {
                         seed += 1;
-                        terminal_walks(g, in_c, seed)
+                        terminal_walks(g, inc, in_c, seed)
                     })
                 },
             );

@@ -170,8 +170,9 @@ fn bench_service_multiclient(c: &mut Criterion) {
 }
 
 /// Multigraph-style incidence records: (vertex, edge index) pairs with
-/// heavy key duplication, sorted stable-by-key — the exact shape
-/// `MultiGraph::incidence` feeds `par_sort_by_key`.
+/// heavy key duplication, sorted stable-by-key. (`MultiGraph::incidence`
+/// itself builds its lists by counting sort; these records are the
+/// merge sort's heavy-duplication probe.)
 fn sort_records(n: usize) -> Vec<(u32, u32)> {
     let mut state = 0x9e3779b97f4a7c15u64;
     (0..n as u32)

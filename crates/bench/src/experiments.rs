@@ -212,10 +212,11 @@ pub fn e06_walks_unbiased(quick: bool) {
     let max_s = if quick { 10_000 } else { 100_000 };
     let mut t = Table::new(&["samples", "rel Frobenius error", "err·√samples"]);
     let mut mean = DenseMatrix::zeros(5);
+    let inc = g.incidence();
     let mut done = 0u64;
     for target in [100u64, 1_000, 10_000, max_s as u64] {
         while done < target {
-            let out = terminal_walks(&g, &in_c, 900_000 + done);
+            let out = terminal_walks(&g, &inc, &in_c, 900_000 + done);
             let lh = to_dense(&out.graph);
             for i in 0..5 {
                 for j in 0..5 {
@@ -252,7 +253,7 @@ pub fn e07_walk_lengths(quick: bool) {
         let mut rng = StreamRng::new(5, 0);
         let dd = five_dd_subset(&g, &inc, &wdeg, &mut rng, SAMPLE_FRACTION);
         let in_c: Vec<bool> = dd.in_f.iter().map(|&x| !x).collect();
-        let out = terminal_walks(&g, &in_c, 77);
+        let out = terminal_walks(&g, &inc, &in_c, 77);
         let m = g.num_edges() as f64;
         t.row(vec![
             fam.name().into(),
@@ -558,8 +559,9 @@ pub fn e15_alpha_closure(quick: bool) {
             in_c[c as usize] = true;
         }
         let mut max_tau: f64 = 0.0;
+        let inc = g.incidence();
         for s in 0..trials {
-            let out = terminal_walks(&g, &in_c, 4_000 + s as u64);
+            let out = terminal_walks(&g, &inc, &in_c, 4_000 + s as u64);
             for e in out.graph.edges() {
                 let (u, v) = (c_list[e.u as usize] as usize, c_list[e.v as usize] as usize);
                 let r = pinv.get(u, u) + pinv.get(v, v) - 2.0 * pinv.get(u, v);

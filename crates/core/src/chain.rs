@@ -26,6 +26,7 @@ use parlap_graph::multigraph::{Edge, MultiGraph};
 use parlap_linalg::dense::DenseMatrix;
 use parlap_primitives::cost::{Cost, CostMeter};
 use parlap_primitives::prng::{mix2, StreamRng};
+use std::time::Instant;
 
 /// Options controlling chain construction.
 #[derive(Clone, Debug)]
@@ -96,7 +97,14 @@ pub struct ChainStats {
     pub walk_max_len: Vec<u64>,
     /// Rounds that had to be resampled for connectivity.
     pub connectivity_retries_used: usize,
-    /// Per-phase PRAM cost ledger.
+    /// Per-phase ledger: PRAM cost and wall-clock time
+    /// ([`CostMeter::wall_by_label`]) of `five_dd` (the level's
+    /// incidence and degrees, then `5DDSubset`), `terminal_walks`,
+    /// `connectivity` (the check of each sampled Schur complement; it
+    /// is outside the paper's cost model, so its cost is zero),
+    /// `level_build` and `base_pinv`. Times are taken once per round
+    /// (per attempt for the walks and their check) and never read by
+    /// the build.
     pub meter: CostMeter,
 }
 
@@ -211,12 +219,15 @@ pub fn block_cholesky(g: &MultiGraph, opts: &ChainOptions) -> Result<CholeskyCha
                 cur.num_vertices()
             )));
         }
+        // One incidence per level, shared by 5DDSubset and every walk
+        // attempt.
+        let t = Instant::now();
         let inc = cur.incidence();
         let wdeg = cur.weighted_degrees();
         // F_{k+1} ← 5DDSubset(G(k)).
         let mut rng = StreamRng::new(opts.seed, mix2(0x5dd, k as u64));
         let dd = five_dd_subset(&cur, &inc, &wdeg, &mut rng, opts.sample_fraction);
-        stats.meter.record("five_dd", dd.cost);
+        stats.meter.record_timed("five_dd", dd.cost, t.elapsed());
         stats.five_dd_rounds.push(dd.rounds);
         let in_c: Vec<bool> = dd.in_f.iter().map(|&f| !f).collect();
 
@@ -225,9 +236,13 @@ pub fn block_cholesky(g: &MultiGraph, opts: &ChainOptions) -> Result<CholeskyCha
         let mut attempt = 0usize;
         let out = loop {
             let walk_seed = mix2(opts.seed, mix2(k as u64, attempt as u64));
-            let out = terminal_walks(&cur, &in_c, walk_seed);
-            stats.meter.record("terminal_walks", out.stats.cost);
-            if num_components(&out.graph) == 1 || attempt >= opts.connectivity_retries {
+            let t = Instant::now();
+            let out = terminal_walks(&cur, &inc, &in_c, walk_seed);
+            stats.meter.record_timed("terminal_walks", out.stats.cost, t.elapsed());
+            let t = Instant::now();
+            let connected = num_components(&out.graph) == 1;
+            stats.meter.record_timed("connectivity", Cost::ZERO, t.elapsed());
+            if connected || attempt >= opts.connectivity_retries {
                 if attempt > 0 {
                     stats.connectivity_retries_used += attempt;
                 }
@@ -239,8 +254,9 @@ pub fn block_cholesky(g: &MultiGraph, opts: &ChainOptions) -> Result<CholeskyCha
         stats.walk_max_len.push(out.stats.max_walk_len);
 
         // Level block data.
+        let t = Instant::now();
         let level = build_level(&cur, &dd.in_f, &dd.f_set, &out.c_ids, &wdeg)?;
-        stats.meter.record("level_build", Cost::new(cur.num_edges() as u64, 12));
+        stats.meter.record_timed("level_build", Cost::new(cur.num_edges() as u64, 12), t.elapsed());
         levels.push(level);
 
         cur = out.graph;
@@ -250,13 +266,16 @@ pub fn block_cholesky(g: &MultiGraph, opts: &ChainOptions) -> Result<CholeskyCha
     }
 
     // Base case: simplify the ≤ base_size multigraph, dense pinv.
+    let t = Instant::now();
     let simple = cur.simplify();
     let base_n = simple.num_vertices();
     let ldense = to_dense(&simple);
     let base_pinv = ldense.pseudoinverse(1e-12);
-    stats
-        .meter
-        .record("base_pinv", Cost::new((base_n as u64).pow(3).max(1), (base_n as u64).max(1)));
+    stats.meter.record_timed(
+        "base_pinv",
+        Cost::new((base_n as u64).pow(3).max(1), (base_n as u64).max(1)),
+        t.elapsed(),
+    );
     stats.rounds = levels.len();
 
     // Jacobi ε = 1/(2d) per Algorithm 2 (d ≥ 1 to keep ε < 1).
@@ -440,6 +459,11 @@ mod tests {
             chain.stats.meter.by_label().into_iter().map(|(l, _)| l).collect();
         for needed in ["five_dd", "terminal_walks", "level_build", "base_pinv"] {
             assert!(labels.iter().any(|l| l == needed), "missing phase {needed}");
+        }
+        let wall = chain.stats.meter.wall_by_label();
+        for needed in ["five_dd", "terminal_walks", "connectivity", "level_build", "base_pinv"] {
+            let time = wall.iter().find(|(l, _)| l == needed).map(|&(_, t)| t);
+            assert!(time.is_some_and(|t| !t.is_zero()), "phase {needed} has no wall time");
         }
         assert!(chain.apply_cost().work > 0);
     }

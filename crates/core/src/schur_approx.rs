@@ -119,11 +119,12 @@ pub fn approx_schur(
         for &f_sub in &dd.f_set {
             in_c[sub_ids[f_sub as usize] as usize] = false;
         }
-        // Walks, with connectivity retry.
+        // Walks, with connectivity retry, all on one incidence.
+        let inc = cur.incidence();
         let mut attempt = 0usize;
         let out = loop {
             let walk_seed = mix2(opts.seed, mix2(rounds as u64, attempt as u64));
-            let out = terminal_walks(&cur, &in_c, walk_seed);
+            let out = terminal_walks(&cur, &inc, &in_c, walk_seed);
             meter.record("terminal_walks", out.stats.cost);
             if num_components(&out.graph) == 1 || attempt >= opts.connectivity_retries {
                 break out;

@@ -1,7 +1,7 @@
 //! Parallel connected components (FastSV).
 //!
 //! The solver's precondition (connectivity, Fact 2.3) is checked with
-//! a sequential BFS in [`crate::connectivity`]; this module provides
+//! a sequential union-find in [`crate::connectivity`]; this module provides
 //! the *parallel* counterpart in the paper's own cost model: the
 //! Shiloach–Vishkin family of hook-and-shortcut algorithms,
 //! specifically FastSV (Zhang–Azad–Hu 2020). Labels only decrease

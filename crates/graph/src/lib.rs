@@ -6,15 +6,16 @@
 //! `TerminalWalks` keeps them. This crate provides:
 //!
 //! * [`multigraph`] — the [`multigraph::MultiGraph`] type (flat edge
-//!   list) and its CSR incidence structure, built in parallel
-//!   (the Lemma 2.7 / Blelloch–Maggs conversion).
+//!   list) and its CSR incidence structure, built by a stable counting
+//!   sort in `O(m + n)` (the Lemma 2.7 / Blelloch–Maggs conversion).
 //! * [`laplacian`] — Laplacian operators: edge-list matvec, CSR and
 //!   dense materializations, weighted degrees.
 //! * [`generators`] — graph families used by the paper's motivating
 //!   applications and by our experiments.
-//! * [`connectivity`] — BFS connectivity (the solver's precondition).
+//! * [`connectivity`] — union-find connectivity (the solver's
+//!   precondition).
 //! * [`components`] — parallel connected components (FastSV hooking),
-//!   the PRAM-model counterpart of the BFS check.
+//!   the PRAM-model counterpart of the union-find check.
 //! * [`ordering`] — cache-aware node orderings (reverse
 //!   Cuthill–McKee), pure functions of the graph so reordered solvers
 //!   stay deterministic.

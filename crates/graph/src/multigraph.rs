@@ -1,7 +1,6 @@
-//! The weighted multigraph type and its parallel incidence structure.
+//! The weighted multigraph type and its CSR incidence structure.
 
 use parlap_primitives::scan::exclusive_scan;
-use rayon::prelude::*;
 
 /// A weighted multi-edge between two distinct vertices.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -36,7 +35,7 @@ impl Edge {
 /// A connected weighted undirected multigraph on vertices `0..n`.
 ///
 /// Stored as a flat edge list; the CSR incidence structure
-/// ([`Incidence`]) is built on demand in parallel. Multiple parallel
+/// ([`Incidence`]) is built on demand by a counting sort. Multiple parallel
 /// edges between the same endpoints are allowed and meaningful (they
 /// carry the α-boundedness structure of the paper); self-loops are
 /// rejected (they contribute nothing to a Laplacian).
@@ -135,27 +134,24 @@ impl MultiGraph {
     }
 
     /// Build the CSR incidence structure (each edge listed under both
-    /// endpoints). Parallel: stable sort of `2m` incidence records by
-    /// vertex, then a scan for offsets — the Lemma 2.7 conversion.
+    /// endpoints) — the Lemma 2.7 conversion, as a stable counting sort
+    /// of the `2m` incidence records by vertex: one pass counts each
+    /// vertex's degree, an exclusive scan turns the counts into
+    /// offsets, and one scatter in edge order fills the lists. `O(m +
+    /// n)` work. [`Incidence::edges_at`] lists a vertex's edges in
+    /// increasing index order, the order the walk samplers' alias
+    /// tables are built in, so it is part of the determinism contract.
     pub fn incidence(&self) -> Incidence {
-        let m = self.edges.len();
-        // Records (vertex, edge index). The stable parallel merge
-        // sort keeps edge order within a vertex, so downstream
-        // sampling is deterministic regardless of thread count; it
-        // applies its own sequential cutoff (~4 k records), so no
-        // `PAR_CUTOFF` guard is needed here.
-        let mut records: Vec<(u32, u32)> = Vec::with_capacity(2 * m);
+        let mut cursor = self.multi_degrees();
+        let offsets = exclusive_scan(&cursor);
+        cursor.copy_from_slice(&offsets[..self.n]);
+        let mut inc_edges = vec![0u32; offsets[self.n]];
         for (i, e) in self.edges.iter().enumerate() {
-            records.push((e.u, i as u32));
-            records.push((e.v, i as u32));
+            for x in [e.u as usize, e.v as usize] {
+                inc_edges[cursor[x]] = i as u32;
+                cursor[x] += 1;
+            }
         }
-        records.par_sort_by_key(|&(v, _)| v);
-        let mut counts = vec![0usize; self.n];
-        for &(v, _) in &records {
-            counts[v as usize] += 1;
-        }
-        let offsets = exclusive_scan(&counts);
-        let inc_edges: Vec<u32> = records.iter().map(|&(_, e)| e).collect();
         Incidence { offsets, inc_edges }
     }
 
@@ -478,7 +474,8 @@ mod tests {
 
     #[test]
     fn incidence_large_parallel_path() {
-        // Exceeds PAR_CUTOFF to exercise the parallel sort path.
+        // A path above PAR_CUTOFF: interior vertices list their two
+        // edges in index order.
         let n = 10_000usize;
         let edges: Vec<Edge> = (0..n as u32 - 1).map(|i| Edge::new(i, i + 1, 1.0)).collect();
         let g = MultiGraph::from_edges(n, edges);

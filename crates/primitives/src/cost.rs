@@ -14,6 +14,8 @@
 //! * a parallel map over `n` items followed by a reduction contributes
 //!   `Σ workᵢ` work and `max depthᵢ + ⌈log₂ n⌉` depth.
 
+use std::time::Duration;
+
 /// A (work, depth) pair in the PRAM cost model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct Cost {
@@ -104,10 +106,14 @@ pub fn log2_ceil(n: u64) -> u64 {
 /// Aggregates per-phase costs for an algorithm run.
 ///
 /// Phases recorded with the same label accumulate sequentially (work
-/// adds, depth adds), matching how the solver's rounds compose.
+/// adds, depth adds), matching how the solver's rounds compose. An
+/// entry may also carry the wall-clock time the phase took
+/// ([`CostMeter::record_timed`]), reported by
+/// [`CostMeter::wall_by_label`]; nothing in the PRAM accounting reads
+/// it.
 #[derive(Clone, Debug, Default)]
 pub struct CostMeter {
-    entries: Vec<(String, Cost)>,
+    entries: Vec<(String, Cost, Duration)>,
 }
 
 impl CostMeter {
@@ -118,37 +124,48 @@ impl CostMeter {
 
     /// Record a phase (sequentially composed with everything so far).
     pub fn record(&mut self, label: impl Into<String>, cost: Cost) {
-        self.entries.push((label.into(), cost));
+        self.record_timed(label, cost, Duration::ZERO);
     }
 
-    /// All recorded (label, cost) entries in order.
-    pub fn entries(&self) -> &[(String, Cost)] {
+    /// Record a phase together with the wall-clock time it took.
+    pub fn record_timed(&mut self, label: impl Into<String>, cost: Cost, wall: Duration) {
+        self.entries.push((label.into(), cost, wall));
+    }
+
+    /// All recorded (label, cost, wall time) entries in order.
+    pub fn entries(&self) -> &[(String, Cost, Duration)] {
         &self.entries
     }
 
     /// Total cost assuming all phases run in sequence.
     pub fn total(&self) -> Cost {
-        self.entries.iter().fold(Cost::ZERO, |acc, (_, c)| acc.then(*c))
+        self.entries.iter().fold(Cost::ZERO, |acc, (_, c, _)| acc.then(*c))
     }
 
     /// Sum of costs grouped by label, in first-appearance order.
     pub fn by_label(&self) -> Vec<(String, Cost)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut map: std::collections::HashMap<&str, Cost> = std::collections::HashMap::new();
-        for (label, cost) in &self.entries {
-            if !map.contains_key(label.as_str()) {
-                order.push(label.clone());
+        self.group(Cost::ZERO, |acc, &(_, c, _)| acc.then(c))
+    }
+
+    /// Sum of wall-clock times grouped by label, in first-appearance
+    /// order (labels recorded untimed read zero).
+    pub fn wall_by_label(&self) -> Vec<(String, Duration)> {
+        self.group(Duration::ZERO, |acc, &(_, _, t)| acc + t)
+    }
+
+    fn group<T: Copy>(
+        &self,
+        zero: T,
+        add: impl Fn(T, &(String, Cost, Duration)) -> T,
+    ) -> Vec<(String, T)> {
+        let mut grouped: Vec<(String, T)> = Vec::new();
+        for entry in &self.entries {
+            match grouped.iter_mut().find(|(l, _)| *l == entry.0) {
+                Some((_, acc)) => *acc = add(*acc, entry),
+                None => grouped.push((entry.0.clone(), add(zero, entry))),
             }
-            let slot = map.entry(label.as_str()).or_insert(Cost::ZERO);
-            *slot = slot.then(*cost);
         }
-        order
-            .into_iter()
-            .map(|l| {
-                let c = map[l.as_str()];
-                (l, c)
-            })
-            .collect()
+        grouped
     }
 
     /// Merge another meter's entries after this one's.
@@ -206,6 +223,26 @@ mod tests {
         assert_eq!(grouped.len(), 2);
         assert_eq!(grouped[0], ("walks".to_string(), Cost::new(200, 20)));
         assert_eq!(grouped[1], ("5dd".to_string(), Cost::new(50, 5)));
+    }
+
+    #[test]
+    fn meter_groups_wall_time_beside_cost() {
+        let ms = Duration::from_millis;
+        let mut m = CostMeter::new();
+        m.record_timed("walks", Cost::new(100, 10), ms(3));
+        m.record("5dd", Cost::new(50, 5));
+        m.record_timed("walks", Cost::new(100, 10), ms(4));
+        m.record_timed("check", Cost::ZERO, ms(1));
+        assert_eq!(m.total(), Cost::new(250, 25));
+        assert_eq!(
+            m.wall_by_label(),
+            vec![
+                ("walks".to_string(), ms(7)),
+                ("5dd".to_string(), ms(0)),
+                ("check".to_string(), ms(1))
+            ]
+        );
+        assert_eq!(m.by_label()[2], ("check".to_string(), Cost::ZERO));
     }
 
     #[test]

@@ -252,8 +252,8 @@ fn whole_solve_with_rcm_and_f32_identical_across_1_2_8_threads() {
 /// The parallel merge sort must return bit-identical permutations at
 /// every pool size — stable AND unstable variants (the recursion tree
 /// depends only on the length, never on the schedule). This is what
-/// lets `MultiGraph::incidence` and the sweep-cut orderings sit on
-/// solver-determinism-audited paths.
+/// lets the sweep-cut orderings sit on solver-determinism-audited
+/// paths.
 #[test]
 fn par_sorts_identical_across_1_2_4_8_threads() {
     use rayon::prelude::*;
@@ -286,8 +286,8 @@ fn par_sorts_identical_across_1_2_4_8_threads() {
     }
 }
 
-/// The CSR incidence structure is built through the parallel sort;
-/// its layout must not depend on the pool size.
+/// The CSR incidence structure (a counting sort over a chunked
+/// parallel scan) must not depend on the pool size.
 #[test]
 fn incidence_identical_across_threads() {
     let g = generators::gnp_connected(3000, 0.004, 17);

@@ -33,8 +33,51 @@ fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = MultiGraph> {
         })
 }
 
+/// A random multigraph, possibly disconnected, with many parallel
+/// edges and isolated vertices: endpoints come from the first `span`
+/// ids only, so the ids from `span` to `n` never get an edge.
+fn arb_multigraph(max_m: usize) -> impl Strategy<Value = MultiGraph> {
+    (
+        2usize..300,
+        2u32..300,
+        proptest::collection::vec((0u32..1 << 20, 0u32..1 << 20, 0.1f64..10.0), 0..max_m),
+    )
+        .prop_map(|(n, span, raw)| {
+            let span = span.min(n as u32);
+            let edges: Vec<Edge> = raw
+                .into_iter()
+                .map(|(a, b, w)| (a % span, b % span, w))
+                .filter(|&(u, v, _)| u != v)
+                .map(|(u, v, w)| Edge::new(u, v, w))
+                .collect();
+            MultiGraph::from_edges(n, edges)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `edges_at(v)` lists exactly v's incident edge indices, in
+    /// increasing order (the stable-sort order the walks' alias tables
+    /// are built in), for edge counts on both sides of the 4k-record
+    /// cutoff the incidence used to sort with, and of `PAR_CUTOFF`.
+    #[test]
+    fn incidence_lists_edges_in_index_order(g in arb_multigraph(12_000)) {
+        let n = g.num_vertices();
+        let inc = g.incidence();
+        let mut expect: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (i, e) in g.edges().iter().enumerate() {
+            expect[e.u as usize].push(i as u32);
+            expect[e.v as usize].push(i as u32);
+        }
+        prop_assert_eq!(inc.num_vertices(), n);
+        for (v, want) in expect.iter().enumerate() {
+            let got = inc.edges_at(v);
+            prop_assert!(got.windows(2).all(|p| p[0] < p[1]), "vertex {} not increasing", v);
+            prop_assert_eq!(got, want.as_slice());
+            prop_assert_eq!(inc.degree(v), want.len());
+        }
+    }
 
     /// Laplacian structure: zero row sums, symmetric, PSD on random
     /// test vectors.
@@ -57,7 +100,7 @@ proptest! {
         let n = g.num_vertices();
         let c_count = (cut % (n - 1)) + 1; // 1..n
         let in_c: Vec<bool> = (0..n).map(|v| v < c_count).collect();
-        let out = terminal_walks(&g, &in_c, seed);
+        let out = terminal_walks(&g, &g.incidence(), &in_c, seed);
         prop_assert!(out.graph.num_edges() <= g.num_edges());
         prop_assert_eq!(out.graph.num_vertices(), c_count);
         let lh = to_dense(&out.graph);
@@ -170,8 +213,8 @@ proptest! {
         }
     }
 
-    /// Parallel FastSV components agree with sequential BFS on
-    /// arbitrary (possibly disconnected) graphs.
+    /// Parallel FastSV components agree with the sequential
+    /// union-find count on arbitrary (possibly disconnected) graphs.
     #[test]
     fn parallel_components_agree_with_bfs(
         n in 2usize..60,

@@ -24,8 +24,9 @@ fn terminal_walks_unbiased_on_weighted_random_graph() {
     let trials = 20_000u64;
     let k = c_list.len();
     let mut mean = DenseMatrix::zeros(k);
+    let inc = g.incidence();
     for t in 0..trials {
-        let out = terminal_walks(&g, &in_c, 50_000 + t);
+        let out = terminal_walks(&g, &inc, &in_c, 50_000 + t);
         let lh = to_dense(&out.graph);
         for i in 0..k {
             for j in 0..k {
