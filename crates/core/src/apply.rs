@@ -279,7 +279,8 @@ impl Preconditioner for ChainBackend {
 
     fn estimated_bytes(&self) -> usize {
         // The prebuilt Jacobi operators clone each level's X diagonal
-        // and G[F] Laplacian, so count them alongside the chain.
+        // and G[F] Laplacian (its merged arcs), so count them alongside
+        // the chain.
         const ARC: usize = std::mem::size_of::<(u32, f64)>();
         let jacobis: usize = self
             .chain

@@ -10,15 +10,18 @@
 //!   crossing edges — [`CrossBlock`].
 //!
 //! Both are stored CSR-grouped so matvecs are per-vertex gathers:
-//! `O(edges)` work, `O(log)` depth, rows in parallel.
+//! `O(distinct pairs)` work, `O(log)` depth, rows in parallel. Parallel
+//! edges are merged into one arc at build, so a level's apply reads
+//! each `(u, v)` pair once however many multi-edges the sampler drew.
 
 use parlap_graph::multigraph::Edge;
 use parlap_primitives::scan::exclusive_scan;
 use parlap_primitives::util::PAR_CUTOFF;
 use rayon::prelude::*;
 
-/// CSR adjacency over weighted directed arcs (each undirected edge
-/// stored twice), supporting Laplacian and weighted-sum gathers.
+/// CSR adjacency over weighted directed arcs (each undirected vertex
+/// pair stored twice, parallel edges summed), supporting Laplacian
+/// and weighted-sum gathers.
 #[derive(Clone, Debug)]
 pub struct WeightedCsr {
     offsets: Vec<usize>,
@@ -27,19 +30,52 @@ pub struct WeightedCsr {
 }
 
 impl WeightedCsr {
-    /// Group arcs `(src, dst, w)` by `src` over `n` sources.
+    /// Group arcs `(src, dst, w)` by `src` over `n` sources, summing
+    /// repeated `(src, dst)` pairs into one arc.
+    ///
+    /// This is `CsrMatrix::from_triplets`' contract without its
+    /// per-row sort: each row lists its distinct targets in order of
+    /// first occurrence in `arcs_in`, and a merged arc's weight is the
+    /// sum of its copies' weights in input order. One count pass, one
+    /// scatter and one in-place merge pass: `O(arcs + n + max dst)`.
     pub fn from_arcs(n: usize, arcs_in: &[(u32, u32, f64)]) -> Self {
         let mut counts = vec![0usize; n];
-        for &(s, _, _) in arcs_in {
+        let mut n_dst = 0usize;
+        for &(s, d, _) in arcs_in {
             counts[s as usize] += 1;
+            n_dst = n_dst.max(d as usize + 1);
         }
-        let offsets = exclusive_scan(&counts);
+        let mut offsets = exclusive_scan(&counts);
         let mut cursor = offsets.clone();
         let mut arcs = vec![(0u32, 0.0f64); arcs_in.len()];
         for &(s, d, w) in arcs_in {
             arcs[cursor[s as usize]] = (d, w);
             cursor[s as usize] += 1;
         }
+        // Compact each row in place. `slot[d]` is the output index of
+        // the latest arc to `d`; it is the current row's only if it lies
+        // at or past the row's start.
+        let mut slot = vec![usize::MAX; n_dst];
+        let mut len = 0usize;
+        for s in 0..n {
+            let (lo, hi) = (offsets[s], offsets[s + 1]);
+            let row = len;
+            offsets[s] = row;
+            for i in lo..hi {
+                let (d, w) = arcs[i];
+                let p = slot[d as usize];
+                if (row..len).contains(&p) {
+                    arcs[p].1 += w;
+                } else {
+                    slot[d as usize] = len;
+                    arcs[len] = (d, w);
+                    len += 1;
+                }
+            }
+        }
+        offsets[n] = len;
+        arcs.truncate(len);
+        arcs.shrink_to_fit();
         WeightedCsr { offsets, arcs }
     }
 
@@ -55,7 +91,7 @@ impl WeightedCsr {
         &self.arcs[self.offsets[s]..self.offsets[s + 1]]
     }
 
-    /// Total stored arcs.
+    /// Total stored arcs: distinct `(src, dst)` pairs.
     #[inline]
     pub fn num_arcs(&self) -> usize {
         self.arcs.len()
@@ -87,7 +123,9 @@ pub struct LocalLap {
 }
 
 impl LocalLap {
-    /// Build from local-index edges on `n` vertices.
+    /// Build from local-index edges on `n` vertices. Parallel edges
+    /// become one arc pair (see [`WeightedCsr::from_arcs`]); the
+    /// diagonal still sums every edge in input order.
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
         let mut arcs = Vec::with_capacity(2 * edges.len());
         let mut diag = vec![0.0f64; n];
@@ -106,7 +144,8 @@ impl LocalLap {
         self.diag.len()
     }
 
-    /// Number of (undirected) edges.
+    /// Number of distinct (undirected) vertex pairs joined by an edge;
+    /// parallel edges count once.
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.csr.num_arcs() / 2
@@ -150,7 +189,8 @@ pub struct CrossBlock {
 }
 
 impl CrossBlock {
-    /// Build from crossing records `(c_local, f_local, w)`.
+    /// Build from crossing records `(c_local, f_local, w)`. Repeated
+    /// `(c, f)` pairs are summed into one arc in each orientation.
     pub fn from_crossings(nc: usize, nf: usize, crossings: &[(u32, u32, f64)]) -> Self {
         let by_c = WeightedCsr::from_arcs(nc, crossings);
         let flipped: Vec<(u32, u32, f64)> = crossings.iter().map(|&(c, f, w)| (f, c, w)).collect();
@@ -158,7 +198,7 @@ impl CrossBlock {
         CrossBlock { by_c, by_f }
     }
 
-    /// Number of crossing edges.
+    /// Number of distinct `(c, f)` pairs joined by a crossing edge.
     pub fn num_crossings(&self) -> usize {
         self.by_c.num_arcs()
     }
@@ -193,13 +233,16 @@ mod tests {
 
     #[test]
     fn weighted_csr_gather() {
-        // arcs: 0→1 (w 2), 0→2 (w 3), 2→0 (w 1)
-        let csr = WeightedCsr::from_arcs(3, &[(0, 1, 2.0), (0, 2, 3.0), (2, 0, 1.0)]);
+        // arcs: 0→2 (w 3), 0→1 (w 2), 2→0 (w 1), 0→1 again (w 4)
+        let csr = WeightedCsr::from_arcs(3, &[(0, 2, 3.0), (0, 1, 2.0), (2, 0, 1.0), (0, 1, 4.0)]);
         let mut out = vec![0.0; 3];
         csr.gather(&[10.0, 20.0, 30.0], &mut out);
-        assert_eq!(out, vec![2.0 * 20.0 + 3.0 * 30.0, 0.0, 10.0]);
+        assert_eq!(out, vec![3.0 * 30.0 + (2.0 + 4.0) * 20.0, 0.0, 10.0]);
         assert_eq!(csr.num_sources(), 3);
         assert_eq!(csr.num_arcs(), 3);
+        // The repeat merges into the first 0→1 arc, and row 0 keeps
+        // first-occurrence order rather than sorting its targets.
+        assert_eq!(csr.arcs_at(0), &[(2, 3.0), (1, 6.0)]);
     }
 
     #[test]
@@ -230,19 +273,27 @@ mod tests {
         let mut y = vec![0.0; 2];
         lap.apply(&[1.0, 0.0], &mut y);
         assert_eq!(y, vec![3.5, -3.5]);
+        assert_eq!(lap.num_edges(), 1);
     }
 
     #[test]
     fn cross_block_both_directions() {
-        // C = {0, 1}, F = {0}, crossings: (c0,f0,2), (c1,f0,5)
-        let cb = CrossBlock::from_crossings(2, 1, &[(0, 0, 2.0), (1, 0, 5.0)]);
-        assert_eq!(cb.num_crossings(), 2);
+        // C = {0, 1}, F = {0, 1}; (c0, f0) appears three times.
+        let raw = [(0, 0, 2.0), (1, 0, 5.0), (0, 0, 4.0), (1, 1, 3.0), (0, 0, 0.5)];
+        let cb = CrossBlock::from_crossings(2, 2, &raw);
+        assert_eq!(cb.num_crossings(), 3);
+        let (y_f, x_c) = ([3.0, -1.0], [1.0, 2.0]);
+        let (mut want_c, mut want_f) = (vec![0.0; 2], vec![0.0; 2]);
+        for &(c, f, w) in &raw {
+            want_c[c as usize] += w * y_f[f as usize];
+            want_f[f as usize] += w * x_c[c as usize];
+        }
         let mut out_c = vec![0.0; 2];
-        cb.into_c(&[3.0], &mut out_c);
-        assert_eq!(out_c, vec![6.0, 15.0]);
-        let mut out_f = vec![0.0; 1];
-        cb.into_f(&[1.0, 1.0], &mut out_f);
-        assert_eq!(out_f, vec![7.0]);
+        cb.into_c(&y_f, &mut out_c);
+        assert_eq!(out_c, want_c);
+        let mut out_f = vec![0.0; 2];
+        cb.into_f(&x_c, &mut out_f);
+        assert_eq!(out_f, want_f);
     }
 
     #[test]

@@ -72,11 +72,16 @@ pub struct ChainLevel {
     /// Jacobi `X` diagonal over F-local ids: weight from each F vertex
     /// to `C` (strictly positive for connected graphs).
     pub x_diag: Vec<f64>,
-    /// `Y`: Laplacian of `G(k)[F]` in F-local ids.
+    /// `Y`: Laplacian of `G(k)[F]` in F-local ids. Its adjacency holds
+    /// one merged arc per distinct F–F pair (the weights of `G(k)`'s
+    /// parallel multi-edges summed); its diagonal sums every
+    /// multi-edge.
     pub ff: LocalLap,
-    /// Crossing block (C-local, F-local, w).
+    /// Crossing block (C-local, F-local, w): one merged arc per
+    /// distinct `(c, f)` pair in each orientation.
     pub cross: CrossBlock,
-    /// `|E(G(k))|` (Theorem 3.9-(1) bookkeeping).
+    /// `|E(G(k))|`, counting multi-edges (Theorem 3.9-(1)
+    /// bookkeeping), not the fewer merged arcs `ff` and `cross` store.
     pub m_edges: usize,
 }
 
@@ -135,7 +140,8 @@ impl CholeskyChain {
 
     /// PRAM cost of one application of the implied operator `W`
     /// (Theorem 3.10: `O(m log n log log n)` work,
-    /// `O(log m log n log log n)` depth).
+    /// `O(log m log n log log n)` depth), charged per merged arc the
+    /// apply reads rather than per multi-edge of `G(k)`.
     pub fn apply_cost(&self) -> Cost {
         use parlap_primitives::cost::log2_ceil;
         let mut total = Cost::ZERO;
@@ -160,11 +166,12 @@ impl CholeskyChain {
 
     /// Estimated resident bytes of the chain: per level the partition
     /// index vectors, the Jacobi `X` diagonal, the `G[F]` Laplacian
-    /// (arcs stored in both directions plus offsets and diagonal), and
-    /// the crossing block (both orientations); plus the dense
-    /// `base_n × base_n` pseudoinverse. Counts the dominant arrays
-    /// only — per-`Vec` headers and allocator slack are ignored — so
-    /// this is a budget estimate, not an exact accounting.
+    /// (merged arcs stored in both directions plus offsets and
+    /// diagonal), and the crossing block (merged arcs, both
+    /// orientations); plus the dense `base_n × base_n` pseudoinverse.
+    /// Counts the dominant arrays only — per-`Vec` headers and
+    /// allocator slack are ignored — so this is a budget estimate, not
+    /// an exact accounting.
     pub fn estimated_bytes(&self) -> usize {
         // One stored arc is a (u32, f64) pair: 16 bytes with padding.
         const ARC: usize = std::mem::size_of::<(u32, f64)>();
@@ -174,9 +181,9 @@ impl CholeskyChain {
             let nc = level.c_local.len();
             total += (nf + nc) * 4; // f_local + c_local (u32)
             total += level.x_diag.len() * 8;
-            // LocalLap: CSR offsets + arcs in both directions + diag.
+            // LocalLap: CSR offsets + merged arcs both ways + diag.
             total += (nf + 1) * 8 + 2 * level.ff.num_edges() * ARC + nf * 8;
-            // CrossBlock: two orientations, each offsets + arcs.
+            // CrossBlock: two orientations, each offsets + merged arcs.
             total += (nf + 1) * 8 + (nc + 1) * 8 + 2 * level.cross.num_crossings() * ARC;
         }
         total + self.base_n * self.base_n * 8
@@ -466,6 +473,35 @@ mod tests {
             assert!(time.is_some_and(|t| !t.is_zero()), "phase {needed} has no wall time");
         }
         assert!(chain.apply_cost().work > 0);
+    }
+
+    #[test]
+    fn no_level_stores_a_parallel_arc() {
+        // Every grid edge as 4 parallel copies, and a dense graph whose
+        // sampled levels pile up multi-edges.
+        let split = crate::alpha::split_uniform(&generators::grid2d(30, 30), 4);
+        let dense = generators::gnp_connected(200, 0.3, 4);
+        for g in [&split, &dense] {
+            let chain = block_cholesky(g, &opts(6)).expect("build");
+            assert!(chain.depth() > 0);
+            assert_eq!(chain.stats.level_edges[0], g.num_edges());
+            for (k, level) in chain.levels.iter().enumerate() {
+                let blocks =
+                    [level.ff.adjacency(), level.cross.grouped_by_c(), level.cross.grouped_by_f()];
+                for csr in blocks {
+                    for s in 0..csr.num_sources() {
+                        let mut targets: Vec<u32> = csr.arcs_at(s).iter().map(|a| a.0).collect();
+                        targets.sort_unstable();
+                        targets.dedup();
+                        assert_eq!(
+                            targets.len(),
+                            csr.arcs_at(s).len(),
+                            "level {k}: row {s} lists a target twice"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

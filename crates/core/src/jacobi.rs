@@ -65,7 +65,8 @@ impl JacobiOp {
         self.sweeps
     }
 
-    /// PRAM cost of one application.
+    /// PRAM cost of one application, charged per arc `Y` stores (one
+    /// per distinct F–F pair, parallel edges merged).
     pub fn cost(&self) -> Cost {
         let m = self.y.num_edges() as u64;
         let nf = self.x_diag.len() as u64;

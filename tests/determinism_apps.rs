@@ -146,11 +146,11 @@ fn solve_many_identical_across_threads() {
 }
 
 /// Thread-count independence of the *core* factorization chain: the
-/// 5-DD partitions, Jacobi diagonals, and base pseudoinverse produced
-/// by `block_cholesky` must be bit-identical across pool sizes — the
-/// chunked parallel primitives may decompose work differently per
-/// thread count, but every random choice is keyed by counter-based
-/// streams, never by scheduling.
+/// 5-DD partitions, Jacobi diagonals, merged block arcs, and base
+/// pseudoinverse produced by `block_cholesky` must be bit-identical
+/// across pool sizes — the chunked parallel primitives may decompose
+/// work differently per thread count, but every random choice is keyed
+/// by counter-based streams, never by scheduling.
 #[test]
 fn block_cholesky_chain_identical_across_threads() {
     use parlap_core::chain::{block_cholesky, ChainOptions};
@@ -166,6 +166,18 @@ fn block_cholesky_chain_identical_across_threads() {
                 fp.extend(level.f_local.iter().map(|&v| v as u64));
                 fp.extend(level.c_local.iter().map(|&v| v as u64));
                 fp.extend(level.x_diag.iter().map(|x| x.to_bits()));
+                // The merged block arcs, so a parallel level build
+                // cannot let pool size reorder or regroup the merge.
+                let blocks =
+                    [level.ff.adjacency(), level.cross.grouped_by_c(), level.cross.grouped_by_f()];
+                for csr in blocks {
+                    for s in 0..csr.num_sources() {
+                        for &(t, w) in csr.arcs_at(s) {
+                            fp.push(t as u64);
+                            fp.push(w.to_bits());
+                        }
+                    }
+                }
             }
             for i in 0..chain.base_n {
                 for j in 0..chain.base_n {
