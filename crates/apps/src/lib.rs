@@ -29,11 +29,6 @@
 //!   sketch) and spanning-edge centrality.
 //! * [`mincut`] — exact global minimum cut (Stoer–Wagner), grounding
 //!   the cut-finding heuristics above.
-//! * [`sparsify`] — spectral sparsification by effective-resistance
-//!   sampling (Spielman–Srivastava '11); the implementation now lives
-//!   in [`parlap_core::sparsify`](mod@parlap_core::sparsify) (it
-//!   became the build pipeline's
-//!   optional stage) and is re-exported here for compatibility.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,4 +42,3 @@ pub mod maxflow;
 pub mod mincut;
 pub mod pagerank;
 pub mod spanning_tree;
-pub mod sparsify;

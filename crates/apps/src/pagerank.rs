@@ -220,16 +220,9 @@ mod tests {
 
     #[test]
     fn locality_of_personalized_scores() {
-        // On a long path, PPR from one end decays with distance. The
-        // far-tail scores sit near the solve tolerance, so pin f64
-        // inner applies: an f32 shadow preconditioner (the
-        // PARLAP_INNER_PRECISION=f32 CI leg) changes the noise
-        // realization at that floor and strict monotonicity is only
-        // meaningful above it.
+        // On a long path, PPR from one end decays with distance.
         let g = generators::path(40);
-        let o =
-            SolverOptions { inner_precision: parlap_core::solver::InnerPrecision::F64, ..opts() };
-        let pr = PageRankSolver::build(&g, 0.3, o).unwrap();
+        let pr = PageRankSolver::build(&g, 0.3, opts()).unwrap();
         let out = pr.rank(&[(0, 1.0)], 1e-10).unwrap();
         for v in 1..40 {
             assert!(

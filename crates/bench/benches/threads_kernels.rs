@@ -1,39 +1,36 @@
-//! Kernel microbench: scalar vs SIMD inner loops, in elements/s.
+//! Kernel microbench: the library's 8-lane folds against a sequential
+//! fold, in elements/s.
 //!
-//! The `Kernels` dispatch layer (`parlap_primitives::kernels`) keeps
-//! two implementations of every hot loop: the historical scalar fold
-//! (the bit-layout contract) and an 8-lane unrolled variant that the
-//! compiler autovectorizes. This bench pins both against identical
-//! inputs and reports elements/s per mode for the three loop shapes
+//! `parlap_primitives::kernels` folds every reduction into 8
+//! independent lane accumulators, which the compiler autovectorizes.
+//! This bench pins the library kernels against a left-to-right fold
+//! private to the bench, on identical inputs, for the two loop shapes
 //! that dominate solver wall-clock:
 //!
-//! * `matvec` — CSR row gathers (`dot_gather_with`) over long
-//!   512-nonzero rows with a cache-resident operand. Long rows keep
-//!   the scalar fold pinned to its sequential add-latency chain (the
-//!   out-of-order window cannot overlap across rows), and the
-//!   cache-resident working set keeps the comparison about code
-//!   shape, not DRAM bandwidth — this is where the 8 independent lane
-//!   accumulators pay most;
+//! * `matvec` — CSR row gathers (`dot_gather`) over long 512-nonzero
+//!   rows with a cache-resident operand. Long rows keep the sequential
+//!   fold pinned to its add-latency chain (the out-of-order window
+//!   cannot overlap across rows), and the cache-resident working set
+//!   keeps the comparison about code shape, not DRAM bandwidth — this
+//!   is where the 8 independent lane accumulators pay most;
 //! * `dot` — the fixed-chunk reduction leaf, at `DET_CHUNK` = 4096
-//!   elements (the exact slice length `det_dot` hands the kernel);
-//! * `axpy` — the element-map update on 2²⁰ elements (streaming /
-//!   bandwidth-bound; the modes are bit-identical here, so the ratio
-//!   measures pure code-gen and is expected near 1.0).
+//!   elements (the exact slice length `det_dot` hands the kernel).
 //!
 //! Timing is deliberately simple — best-of-5 medians over fixed
 //! repetition counts via `Instant` — because the quantity of interest
 //! is a *ratio* on one host, not an absolute. The bench hard-fails if
-//! SIMD matvec drops below 1.2× scalar (the acceptance bar is 1.5× on
-//! the CI host; 1.2 leaves noise margin so bench-smoke stays stable).
-//! The host fingerprint is printed first so recorded numbers carry
-//! their provenance.
+//! the library matvec drops below 1.2× the sequential fold (the
+//! acceptance bar is 1.5× on the CI host; 1.2 leaves noise margin so
+//! bench-smoke stays stable). The host fingerprint is printed first so
+//! recorded numbers carry their provenance.
 //!
 //! Run: `cargo bench -p parlap-bench --bench threads_kernels`
 //! (criterion-style CLI flags like `--quick` are accepted and
 //! ignored; this harness is already quick).
 
 use parlap_bench::host;
-use parlap_primitives::kernels::{self, KernelMode};
+use parlap_primitives::kernels;
+use parlap_primitives::reduce::DET_CHUNK;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -53,6 +50,15 @@ fn row_block(rows: usize, band: usize, nx: usize) -> (Vec<f64>, Vec<u32>, Vec<f6
     (values, cols, x)
 }
 
+/// The reference: one running sum, left to right.
+fn seq_fold(terms: impl Iterator<Item = f64>) -> f64 {
+    let mut acc = 0.0;
+    for t in terms {
+        acc += t;
+    }
+    acc
+}
+
 /// Best-of-5 wall-clock for `reps` executions of `f`, in seconds.
 fn best_of_5<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
@@ -68,36 +74,32 @@ fn best_of_5<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 
 struct Line {
     name: &'static str,
-    scalar_eps: f64,
-    simd_eps: f64,
+    seq_eps: f64,
+    lane_eps: f64,
 }
 
 impl Line {
     fn ratio(&self) -> f64 {
-        self.simd_eps / self.scalar_eps
+        self.lane_eps / self.seq_eps
     }
 }
 
 fn bench_matvec() -> Line {
     // 4 rows x 512 nnz, operand 1024 doubles: ~32 KiB working set, so
-    // the gather stays cache-resident and the scalar fold is pinned to
-    // its add-latency chain — the regime the lane accumulators target.
+    // the gather stays cache-resident and the sequential fold is
+    // pinned to its add-latency chain — the regime the lane
+    // accumulators target.
     const ROWS: usize = 4;
     const BAND: usize = 512;
     const NX: usize = 1024;
     const REPS: usize = 8192;
     let (values, cols, x) = row_block(ROWS, BAND, NX);
-    let run = |mode: KernelMode| {
+    let run = |row: &dyn Fn(&[f64], &[u32]) -> f64| {
         let mut y = vec![0.0f64; ROWS];
         let secs = best_of_5(REPS, || {
             for r in 0..ROWS {
                 let lo = r * BAND;
-                y[r] = kernels::dot_gather_with(
-                    mode,
-                    &values[lo..lo + BAND],
-                    &cols[lo..lo + BAND],
-                    &x,
-                );
+                y[r] = row(&values[lo..lo + BAND], &cols[lo..lo + BAND]);
             }
             black_box(&y);
         });
@@ -105,47 +107,28 @@ fn bench_matvec() -> Line {
     };
     Line {
         name: "matvec (512-nnz rows)",
-        scalar_eps: run(KernelMode::Scalar),
-        simd_eps: run(KernelMode::Simd),
+        seq_eps: run(&|v, c| seq_fold(v.iter().zip(c).map(|(v, &c)| v * x[c as usize]))),
+        lane_eps: run(&|v, c| kernels::dot_gather(v, c, &x)),
     }
 }
 
 fn bench_dot() -> Line {
     // One DET_CHUNK-sized slice — exactly what `det_dot` hands the
     // kernel per chunk — repeated hot in cache.
-    const N: usize = 4096;
+    const N: usize = DET_CHUNK;
     const REPS: usize = 40_000;
     let a: Vec<f64> = (0..N).map(|i| (i as f64 * 0.13).sin()).collect();
     let b: Vec<f64> = (0..N).map(|i| (i as f64 * 0.31).cos()).collect();
-    let run = |mode: KernelMode| {
+    let run = |dot: &dyn Fn(&[f64], &[f64]) -> f64| {
         let secs = best_of_5(REPS, || {
-            black_box(kernels::dot_with(mode, black_box(&a), black_box(&b)));
+            black_box(dot(black_box(&a), black_box(&b)));
         });
         (N * REPS) as f64 / secs
     };
     Line {
         name: "dot (4096 chunk)",
-        scalar_eps: run(KernelMode::Scalar),
-        simd_eps: run(KernelMode::Simd),
-    }
-}
-
-fn bench_axpy() -> Line {
-    const N: usize = 1 << 20;
-    const REPS: usize = 40;
-    let x: Vec<f64> = (0..N).map(|i| (i as f64 * 0.07).sin()).collect();
-    let run = |mode: KernelMode| {
-        let mut y: Vec<f64> = (0..N).map(|i| (i as f64 * 0.11).cos()).collect();
-        let secs = best_of_5(REPS, || {
-            kernels::axpy_with(mode, 1.0000001, &x, &mut y);
-            black_box(&y);
-        });
-        (N * REPS) as f64 / secs
-    };
-    Line {
-        name: "axpy (2^20)",
-        scalar_eps: run(KernelMode::Scalar),
-        simd_eps: run(KernelMode::Simd),
+        seq_eps: run(&|a, b| seq_fold(a.iter().zip(b).map(|(x, y)| x * y))),
+        lane_eps: run(&kernels::dot),
     }
 }
 
@@ -153,25 +136,19 @@ fn main() {
     // Accept (and ignore) criterion-style flags from bench-smoke.
     let _ = std::env::args();
     let fp = host::fingerprint();
-    println!("threads_kernels — scalar vs SIMD kernel throughput");
+    println!("threads_kernels — 8-lane kernels vs a sequential fold");
     println!("{}", fp.summary());
     println!();
-    println!("{:<22} {:>14} {:>14} {:>8}", "kernel", "scalar elem/s", "simd elem/s", "ratio");
-    let lines = [bench_matvec(), bench_dot(), bench_axpy()];
+    println!("{:<22} {:>14} {:>14} {:>8}", "kernel", "seq elem/s", "8-lane elem/s", "ratio");
+    let lines = [bench_matvec(), bench_dot()];
     for l in &lines {
-        println!(
-            "{:<22} {:>14.3e} {:>14.3e} {:>7.2}x",
-            l.name,
-            l.scalar_eps,
-            l.simd_eps,
-            l.ratio()
-        );
+        println!("{:<22} {:>14.3e} {:>14.3e} {:>7.2}x", l.name, l.seq_eps, l.lane_eps, l.ratio());
     }
     let matvec_ratio = lines[0].ratio();
     assert!(
         matvec_ratio >= 1.2,
-        "SIMD matvec must beat scalar by >= 1.2x (acceptance bar 1.5x), got {matvec_ratio:.2}x"
+        "8-lane matvec must beat the sequential fold by >= 1.2x (acceptance bar 1.5x), got {matvec_ratio:.2}x"
     );
     println!();
-    println!("ok: simd matvec {matvec_ratio:.2}x scalar (bar: 1.2x in-bench, 1.5x recorded)");
+    println!("ok: 8-lane matvec {matvec_ratio:.2}x sequential (bar: 1.2x in-bench, 1.5x recorded)");
 }

@@ -802,7 +802,7 @@ pub fn run(id: &str, quick: bool) -> bool {
         "e18" => e18_ablation_base_size(quick),
         "e19" => e19_ablation_jacobi_sweeps(quick),
         "all" => {
-            for i in 1..=26 {
+            for i in 1..=25 {
                 run(&format!("e{i}"), quick);
                 println!();
             }

@@ -1,7 +1,6 @@
-//! Extension experiments E20–E26: the Lemma 3.7 walk identity, the
-//! classic-preconditioner comparison, the application layer
-//! (max-flow, spanning trees, SDD systems), and the kernel
-//! acceleration layer (RCM reordering, f32 inner applies).
+//! Extension experiments E20–E25: the Lemma 3.7 walk identity, the
+//! classic-preconditioner comparison, and the application layer
+//! (max-flow, spanning trees, SDD systems, diffusion and centrality).
 //!
 //! These extend the core suite in [`crate::experiments`] with the
 //! substrates added on top of the paper; [`run`] maps their ids to
@@ -428,115 +427,6 @@ pub fn e25_diffusion_centrality(quick: bool) {
     t.print();
 }
 
-/// E26 — the kernel-acceleration layer: RCM reordering and f32 inner
-/// applies, measured end to end. Reordering is a pure function of the
-/// graph (solution comes back in original numbering); the f32 shadow
-/// halves the chain's float payload. Both must leave accuracy at eps.
-pub fn e26_kernels_reorder(quick: bool) {
-    use crate::workloads::Family;
-    use parlap_core::solver::{InnerPrecision, NodeOrdering};
-    use parlap_graph::ordering::{bandwidth, inverse_permutation, permute_graph, rcm_order};
-
-    println!("## E26 — kernel acceleration: RCM reordering + f32 inner applies\n");
-    println!("{}\n", crate::host::fingerprint().summary());
-    println!("RCM is applied at build (pure function of the graph; output");
-    println!("returns in original numbering); f32 shadows the Cholesky");
-    println!("chain for inner applies while the outer loop stays f64.\n");
-    println!("Table 1 medians run over build seeds, not repeated solves of");
-    println!("one chain: the sparsifier sampling is a function of the vertex");
-    println!("numbering, so reordering redraws the chain, and per-seed");
-    println!("quality varies (an unlucky chain misses the error certificate");
-    println!("and takes the PCG fallback — counted in the last column).\n");
-
-    let median = |samples: &mut Vec<f64>| {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        samples[samples.len() / 2]
-    };
-    let n = if quick { 2_000 } else { 10_000 };
-    let seeds: &[u64] = if quick { &[1, 2, 3] } else { &[1, 2, 3, 5, 8] };
-
-    let mut t = Table::new(&[
-        "family",
-        "ordering",
-        "bandwidth",
-        "build ms (med)",
-        "solve ms (med)",
-        "iters (med)",
-        "worst rel err @1e-8",
-        "fallbacks",
-    ]);
-    for fam in [Family::Grid2d, Family::Gnp] {
-        let g = fam.build(n, 3);
-        let b = random_demand(g.num_vertices(), 7);
-        for ordering in [NodeOrdering::Natural, NodeOrdering::Rcm] {
-            let bw = match ordering {
-                NodeOrdering::Natural => bandwidth(&g),
-                NodeOrdering::Rcm => {
-                    let perm = rcm_order(&g);
-                    bandwidth(&permute_graph(&g, &inverse_permutation(&perm)))
-                }
-            };
-            let mut build_ms: Vec<f64> = Vec::with_capacity(seeds.len());
-            let mut solve_ms: Vec<f64> = Vec::with_capacity(seeds.len());
-            let mut iters: Vec<f64> = Vec::with_capacity(seeds.len());
-            let mut worst_err = 0.0f64;
-            let mut fallbacks = 0usize;
-            for &seed in seeds {
-                let opts = SolverOptions { seed, ordering, ..Default::default() };
-                let t0 = Instant::now();
-                let solver = LaplacianSolver::build(&g, opts).expect("build");
-                build_ms.push(ms(t0));
-                let t1 = Instant::now();
-                let out = solver.solve(&b, 1e-8).expect("solve");
-                solve_ms.push(ms(t1));
-                iters.push(out.iterations as f64);
-                worst_err = worst_err.max(solver.relative_error(&b, &out.solution));
-                fallbacks += usize::from(out.used_fallback);
-            }
-            t.row(vec![
-                format!("{fam:?}"),
-                format!("{ordering:?}"),
-                bw.to_string(),
-                f(median(&mut build_ms)),
-                f(median(&mut solve_ms)),
-                format!("{}", median(&mut iters) as usize),
-                format!("{worst_err:.2e}"),
-                format!("{fallbacks}/{}", seeds.len()),
-            ]);
-        }
-    }
-    t.print();
-
-    println!();
-    let solves = if quick { 5 } else { 9 };
-    let g = Family::Grid2d.build(n, 3);
-    let b = random_demand(g.num_vertices(), 7);
-    let mut t =
-        Table::new(&["inner precision", "solve ms (med)", "iters", "rel err @1e-8", "solver MiB"]);
-    for precision in [InnerPrecision::F64, InnerPrecision::F32] {
-        let solver = LaplacianSolver::build(
-            &g,
-            SolverOptions { seed: 5, inner_precision: precision, ..Default::default() },
-        )
-        .expect("build");
-        let mut solve_ms: Vec<f64> = Vec::with_capacity(solves);
-        let mut out = solver.solve(&b, 1e-8).expect("solve");
-        for _ in 0..solves {
-            let t0 = Instant::now();
-            out = solver.solve(&b, 1e-8).expect("solve");
-            solve_ms.push(ms(t0));
-        }
-        t.row(vec![
-            format!("{precision:?}"),
-            f(median(&mut solve_ms)),
-            out.iterations.to_string(),
-            format!("{:.2e}", solver.relative_error(&b, &out.solution)),
-            format!("{:.2}", solver.estimated_bytes() as f64 / (1024.0 * 1024.0)),
-        ]);
-    }
-    t.print();
-}
-
 /// Dispatch for the extension experiments; returns `false` on an
 /// unknown id.
 pub fn run(id: &str, quick: bool) -> bool {
@@ -547,7 +437,6 @@ pub fn run(id: &str, quick: bool) -> bool {
         "e23" => e23_spanning_trees(quick),
         "e24" => e24_sdd(quick),
         "e25" => e25_diffusion_centrality(quick),
-        "e26" => e26_kernels_reorder(quick),
         _ => return false,
     }
     true

@@ -1,13 +1,13 @@
 //! Host fingerprinting for benchmark provenance.
 //!
-//! Kernel-level numbers (elements/s, SIMD speedups) are meaningless
+//! Kernel-level numbers (elements/s, lane-fold speedups) are meaningless
 //! without knowing what machine produced them: the same binary can be
 //! memory-bound on one host and issue-bound on another. Every bench
 //! harness prints [`fingerprint`] next to its results, and
 //! EXPERIMENTS.md entries record it verbatim, so a reader can tell a
 //! 1-core CI container from a 32-core workstation at a glance.
 
-use parlap_primitives::{detected_simd_width, KernelMode};
+use parlap_primitives::detected_simd_width;
 
 /// A point-in-time description of the machine running the benchmark.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -21,16 +21,14 @@ pub struct HostFingerprint {
     /// 4 = AVX2, 2 = SSE2/NEON, 1 = unknown). Informational only —
     /// kernel bit-layout never depends on it.
     pub simd_width: usize,
-    /// The kernel mode the process resolved from `PARLAP_KERNELS`.
-    pub kernel_mode: &'static str,
 }
 
 impl HostFingerprint {
     /// One-line form for bench output and EXPERIMENTS.md provenance.
     pub fn summary(&self) -> String {
         format!(
-            "host: {} cores, arch {}, simd width {} (f64 lanes), kernels {}",
-            self.cores, self.arch, self.simd_width, self.kernel_mode
+            "host: {} cores, arch {}, simd width {} (f64 lanes)",
+            self.cores, self.arch, self.simd_width
         )
     }
 }
@@ -41,7 +39,6 @@ pub fn fingerprint() -> HostFingerprint {
         cores: std::thread::available_parallelism().map(|x| x.get()).unwrap_or(1),
         arch: std::env::consts::ARCH,
         simd_width: detected_simd_width(),
-        kernel_mode: KernelMode::active().name(),
     }
 }
 
@@ -55,7 +52,6 @@ mod tests {
         assert!(fp.cores >= 1);
         assert!(fp.simd_width >= 1 && fp.simd_width <= 8);
         assert!(!fp.arch.is_empty());
-        assert!(fp.kernel_mode == "scalar" || fp.kernel_mode == "simd");
         let s = fp.summary();
         assert!(s.contains("cores") && s.contains(fp.arch));
     }

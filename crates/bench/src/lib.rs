@@ -4,7 +4,7 @@
 //! evaluation is the set of quantitative theorem statements. This
 //! crate regenerates each of them as a measured table — the experiment
 //! index is [`experiments::run`] (E1–E19, then
-//! [`experiments_ext::run`] for E20–E26) and results are recorded in
+//! [`experiments_ext::run`] for E20–E25) and results are recorded in
 //! EXPERIMENTS.md. Run via:
 //!
 //! ```text

@@ -21,8 +21,7 @@ use crate::backend::Preconditioner;
 use crate::chain::{block_cholesky, ChainLevel, ChainOptions, CholeskyChain};
 use crate::error::SolverError;
 use crate::jacobi::JacobiOp;
-use crate::shadow::ShadowChain;
-use crate::solver::{InnerPrecision, SolverOptions};
+use crate::solver::SolverOptions;
 use parlap_graph::multigraph::MultiGraph;
 use parlap_linalg::op::LinOp;
 use parlap_primitives::cost::Cost;
@@ -36,7 +35,6 @@ use std::borrow::Cow;
 pub struct ChainApply<'c> {
     chain: &'c CholeskyChain,
     jacobis: Cow<'c, [JacobiOp]>,
-    shadow: Option<&'c ShadowChain>,
 }
 
 /// Build the per-level Jacobi operators `Z⁽ᵏ⁾` for a chain. Their
@@ -51,31 +49,18 @@ pub fn build_jacobis(chain: &CholeskyChain) -> Vec<JacobiOp> {
 }
 
 impl<'c> ChainApply<'c> {
-    /// Wrap a chain (f64 applies), building the Jacobi operators.
+    /// Wrap a chain, building the Jacobi operators (whose constructors
+    /// carry the chain invariant checks).
     pub fn new(chain: &'c CholeskyChain) -> Self {
-        Self::with_shadow(chain, None)
-    }
-
-    /// Wrap a chain, routing applies through an f32 [`ShadowChain`]
-    /// when one is supplied (mixed-precision inner iterations). The
-    /// f64 Jacobi operators are *always* built eagerly, shadow or not:
-    /// their constructors carry the chain invariant checks
-    /// (positive-diagonal, dimension), and those must fire identically
-    /// in both precisions.
-    pub fn with_shadow(chain: &'c CholeskyChain, shadow: Option<&'c ShadowChain>) -> Self {
-        ChainApply { chain, jacobis: Cow::Owned(build_jacobis(chain)), shadow }
+        ChainApply { chain, jacobis: Cow::Owned(build_jacobis(chain)) }
     }
 
     /// Wrap a chain with Jacobi operators built ahead of time (the
     /// [`ChainBackend`] fast path: one construction per build, not one
     /// per apply).
-    pub fn with_prebuilt(
-        chain: &'c CholeskyChain,
-        jacobis: &'c [JacobiOp],
-        shadow: Option<&'c ShadowChain>,
-    ) -> Self {
+    pub fn with_prebuilt(chain: &'c CholeskyChain, jacobis: &'c [JacobiOp]) -> Self {
         debug_assert_eq!(jacobis.len(), chain.levels.len(), "one Jacobi operator per level");
-        ChainApply { chain, jacobis: Cow::Borrowed(jacobis), shadow }
+        ChainApply { chain, jacobis: Cow::Borrowed(jacobis) }
     }
 
     /// The underlying chain.
@@ -130,10 +115,6 @@ impl LinOp for ChainApply<'_> {
     }
 
     fn apply(&self, b: &[f64], out: &mut [f64]) {
-        if let Some(shadow) = self.shadow {
-            shadow.apply(self.chain, b, out);
-            return;
-        }
         let d = self.chain.levels.len();
         // The triangular factorization U⁻¹ D⁺ U⁻ᵀ is a *generalized*
         // inverse of the singular Laplacian: exact on range(L) but its
@@ -163,9 +144,8 @@ impl LinOp for ChainApply<'_> {
 }
 
 /// The block-Cholesky [`Preconditioner`] backend: α-bounded splitting
-/// (Lemma 3.2/3.3), the factorization chain (Theorem 3.9), the
-/// prebuilt per-level Jacobi operators, and — under
-/// [`InnerPrecision::F32`] — the f32 shadow chain.
+/// (Lemma 3.2/3.3), the factorization chain (Theorem 3.9) and the
+/// prebuilt per-level Jacobi operators.
 ///
 /// This is the paper's solver, repackaged behind the backend trait:
 /// building it from a graph + options produces exactly the chain (and
@@ -175,7 +155,6 @@ pub struct ChainBackend {
     chain: CholeskyChain,
     /// Built once per backend, borrowed by every apply.
     jacobis: Vec<JacobiOp>,
-    shadow: Option<ShadowChain>,
     split_copies: usize,
 }
 
@@ -190,14 +169,9 @@ impl ChainBackend {
         self.split_copies
     }
 
-    /// The f32 shadow chain, when built with [`InnerPrecision::F32`].
-    pub fn shadow(&self) -> Option<&ShadowChain> {
-        self.shadow.as_ref()
-    }
-
     /// The apply operator as a [`LinOp`] view borrowing this backend.
     pub fn as_linop(&self) -> ChainApply<'_> {
-        ChainApply::with_prebuilt(&self.chain, &self.jacobis, self.shadow.as_ref())
+        ChainApply::with_prebuilt(&self.chain, &self.jacobis)
     }
 
     /// Mutable chain access for in-crate failure-injection tests (a
@@ -253,12 +227,8 @@ impl Preconditioner for ChainBackend {
             ..ChainOptions::default()
         };
         let chain = block_cholesky(&multi, &chain_opts)?;
-        let shadow = match options.inner_precision {
-            InnerPrecision::F64 => None,
-            InnerPrecision::F32 => Some(ShadowChain::from_chain(&chain)),
-        };
         let jacobis = build_jacobis(&chain);
-        Ok(ChainBackend { chain, jacobis, shadow, split_copies: copies })
+        Ok(ChainBackend { chain, jacobis, split_copies: copies })
     }
 
     fn dim(&self) -> usize {
@@ -271,7 +241,7 @@ impl Preconditioner for ChainBackend {
         // checks and panics on the corruption — the intended signal).
         if self.jacobis.len() != self.chain.levels.len() {
             let jacobis = build_jacobis(&self.chain);
-            ChainApply::with_prebuilt(&self.chain, &jacobis, self.shadow.as_ref()).apply(b, out);
+            ChainApply::with_prebuilt(&self.chain, &jacobis).apply(b, out);
             return;
         }
         self.as_linop().apply(b, out);
@@ -291,19 +261,17 @@ impl Preconditioner for ChainBackend {
                 2 * nf * 8 + (nf + 1) * 8 + 2 * l.ff.num_edges() * ARC
             })
             .sum();
-        let shadow = self.shadow.as_ref().map_or(0, ShadowChain::estimated_bytes);
-        std::mem::size_of::<Self>() + self.chain.estimated_bytes() + jacobis + shadow
+        std::mem::size_of::<Self>() + self.chain.estimated_bytes() + jacobis
     }
 
     fn descriptor(&self) -> String {
         format!(
-            "chain(n={},d={},base={},sweeps={},copies={},inner={})",
+            "chain(n={},d={},base={},sweeps={},copies={})",
             self.chain.n,
             self.chain.depth(),
             self.chain.base_n,
             self.chain.jacobi_sweeps,
             self.split_copies,
-            if self.shadow.is_some() { "f32" } else { "f64" },
         )
     }
 
@@ -502,16 +470,10 @@ mod tests {
 
     /// The backend's trait apply (prebuilt Jacobi operators) is
     /// bit-identical to a fresh `ChainApply` over the same chain.
-    /// Pinned to f64: under `F32` the trait apply runs the f32 shadow
-    /// chain, while a fresh `ChainApply` is always f64.
     #[test]
     fn backend_apply_matches_fresh_chain_apply() {
         let g = generators::grid2d(18, 18);
-        let opts = SolverOptions {
-            seed: 4,
-            inner_precision: InnerPrecision::F64,
-            ..SolverOptions::default()
-        };
+        let opts = SolverOptions { seed: 4, ..SolverOptions::default() };
         let backend = ChainBackend::build(&g, &opts).expect("build");
         let b = random_demand(324, 6);
         let mut via_trait = vec![0.0; 324];

@@ -95,7 +95,7 @@ impl BackendKind {
     /// mesh-like graphs — average degree ≤ 4.5 **and** max/avg degree
     /// skew ≤ 3 — and the chain keeps everything else. Degrees are
     /// invariant under renumbering, so the answer does not depend on
-    /// [`crate::solver::NodeOrdering`].
+    /// the vertex numbering.
     pub fn resolve(self, g: &MultiGraph) -> BackendKind {
         match self {
             BackendKind::Chain => BackendKind::Chain,

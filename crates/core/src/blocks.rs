@@ -97,14 +97,13 @@ impl WeightedCsr {
         self.arcs.len()
     }
 
-    /// `out[s] = Σ_{(s→t,w)} w · x[t]` (pure weighted gather). Row
-    /// sums dispatch on the active kernel mode (scalar in-order fold
-    /// by default, 8-lane unrolled under `PARLAP_KERNELS=simd`); each
-    /// output stays a pure function of its row either way.
+    /// `out[s] = Σ_{(s→t,w)} w · x[t]` (pure weighted gather). Each
+    /// row sum is the 8-lane fold of
+    /// [`kernels::gather_arcs`](parlap_primitives::kernels::gather_arcs),
+    /// a pure function of its row.
     pub fn gather(&self, x: &[f64], out: &mut [f64]) {
-        let mode = parlap_primitives::kernels::KernelMode::active();
         let kernel = |(s, o): (usize, &mut f64)| {
-            *o = parlap_primitives::kernels::gather_arcs_with(mode, self.arcs_at(s), x);
+            *o = parlap_primitives::kernels::gather_arcs(self.arcs_at(s), x);
         };
         if out.len() < PAR_CUTOFF {
             out.iter_mut().enumerate().for_each(kernel);
@@ -157,8 +156,8 @@ impl LocalLap {
         &self.diag
     }
 
-    /// The underlying adjacency CSR (used to derive the f32 shadow
-    /// chain without re-walking edge lists).
+    /// The underlying adjacency CSR (its merged arcs, for inspection
+    /// and fingerprinting).
     #[inline]
     pub fn adjacency(&self) -> &WeightedCsr {
         &self.csr
@@ -203,13 +202,15 @@ impl CrossBlock {
         self.by_c.num_arcs()
     }
 
-    /// The C-grouped orientation (used by the f32 shadow chain).
+    /// The C-grouped orientation (its merged arcs, for inspection and
+    /// fingerprinting).
     #[inline]
     pub fn grouped_by_c(&self) -> &WeightedCsr {
         &self.by_c
     }
 
-    /// The F-grouped orientation (used by the f32 shadow chain).
+    /// The F-grouped orientation (its merged arcs, for inspection and
+    /// fingerprinting).
     #[inline]
     pub fn grouped_by_f(&self) -> &WeightedCsr {
         &self.by_f

@@ -21,8 +21,6 @@
 //! * [`multigrid`] — the second backend: deterministic
 //!   unsmoothed-aggregation multigrid (Galerkin coarsening, symmetric
 //!   V-cycles);
-//! * [`shadow`] — the f32 shadow chain for mixed-precision inner
-//!   applies (opt-in via `SolverOptions::inner_precision`);
 //! * [`richardson`] — `PreconRichardson` outer iteration
 //!   (Algorithm 5, Theorem 3.8);
 //! * [`solver`] — the public build-once / solve-many API delivering
@@ -30,7 +28,7 @@
 //!   loop;
 //! * [`pipeline`] — the explicit build pipeline behind
 //!   [`solver::LaplacianSolver::build`]: ingest → (optional)
-//!   sparsify → reorder → backend build;
+//!   sparsify → backend build;
 //! * [`sparsify`](mod@sparsify) — Spielman–Srivastava spectral sparsification by
 //!   effective-resistance sampling, deterministically chunked so
 //!   samples are bit-identical for any worker count (the pipeline's
@@ -73,7 +71,6 @@ pub mod richardson;
 pub mod schur_approx;
 pub mod sdd;
 pub mod service;
-pub mod shadow;
 pub mod solver;
 pub mod sparsify;
 pub mod spectral;
@@ -85,8 +82,5 @@ pub use multigrid::MultigridBackend;
 pub use pipeline::SparsifyStage;
 pub use registry::{RegistryConfig, RegistryStats, SolverRegistry};
 pub use service::{ServiceConfig, ServiceStats, SolveService, SolveTicket};
-pub use shadow::ShadowChain;
-pub use solver::{
-    InnerPrecision, LaplacianSolver, NodeOrdering, SolveOutcome, SolverOptions, SparsifyMode,
-};
+pub use solver::{LaplacianSolver, SolveOutcome, SolverOptions, SparsifyMode};
 pub use sparsify::{sparsify, sparsify_to_eps, Sparsifier, SparsifyOptions};

@@ -1,5 +1,5 @@
 //! The solver's explicit build pipeline:
-//! **ingest → (optional) sparsify → reorder → backend build**.
+//! **ingest → (optional) sparsify → backend build**.
 //!
 //! * **ingest** — the graph layer's chunked streaming loaders
 //!   (`parlap_graph::dimacs::parse_dimacs_chunked`,
@@ -14,9 +14,6 @@
 //!   preconditioner boundary absorbs the extra `(1+ε)/(1−ε)` spectral
 //!   slack (the certified PCG or Richardson stop reads a widened δ),
 //!   so the ε-guarantee against the dense-pinv oracle is unchanged;
-//! * **reorder** — the RCM permutation
-//!   ([`parlap_graph::ordering::rcm_order`], a pure function of the
-//!   *input* graph) renumbers both the CSR and the backend graph;
 //! * **backend build** — [`build_backend`] constructs the chain or
 //!   multigrid preconditioner behind the
 //!   [`Preconditioner`] trait.
@@ -32,7 +29,6 @@ use crate::sparsify::{sparsify_to_eps, SparsifyOptions};
 use parlap_graph::connectivity::num_components;
 use parlap_graph::laplacian::to_csr;
 use parlap_graph::multigraph::MultiGraph;
-use parlap_graph::ordering::{inverse_permutation, permute_graph, rcm_order};
 use parlap_linalg::csr::CsrMatrix;
 use parlap_primitives::prng::mix2;
 
@@ -47,9 +43,8 @@ pub struct SparsifyStage {
     pub samples: usize,
     /// Edge count of the input graph the stage replaced.
     pub edges_before: usize,
-    /// The sparsifier, in the caller's (original) vertex numbering.
-    /// The backend was built on this graph; the outer loop still
-    /// iterates on the original Laplacian.
+    /// The sparsifier. The backend was built on this graph; the outer
+    /// loop still iterates on the original Laplacian.
     pub graph: MultiGraph,
 }
 
@@ -60,21 +55,13 @@ impl SparsifyStage {
     }
 }
 
-/// Both directions of the internal renumbering.
-#[derive(Debug)]
-pub(crate) struct Permutation {
-    pub(crate) new_to_old: Vec<u32>,
-    pub(crate) old_to_new: Vec<u32>,
-}
-
 /// Everything [`crate::solver::LaplacianSolver::build`] needs from the
-/// pipeline: the original-graph CSR (internal numbering), the backend
-/// built on the (possibly sparsified) graph, and the stage records.
+/// pipeline: the original-graph CSR, the backend built on the
+/// (possibly sparsified) graph, and the stage record.
 pub(crate) struct Prepared {
     pub(crate) csr: CsrMatrix,
     pub(crate) backend: Box<dyn Preconditioner>,
     pub(crate) resolved_backend: BackendKind,
-    pub(crate) perm: Option<Permutation>,
     pub(crate) sparsify: Option<SparsifyStage>,
 }
 
@@ -95,36 +82,14 @@ pub(crate) fn prepare(g: &MultiGraph, options: &SolverOptions) -> Result<Prepare
         }
         _ => {}
     }
-    // Stage: sparsify (optional), in the original numbering.
+    // Stage: sparsify (optional).
     let stage = sparsify_stage(g, options)?;
-    // Stage: reorder. The permutation is a pure function of the
-    // *input* graph (never of the sparsifier sample), computed exactly
-    // as before the pipeline refactor — the stage-Off path keeps its
-    // bit-identity contract with previous releases.
-    let reordered;
-    let (g_int, perm): (&MultiGraph, Option<Permutation>) = match options.ordering {
-        crate::solver::NodeOrdering::Natural => (g, None),
-        crate::solver::NodeOrdering::Rcm => {
-            let new_to_old = rcm_order(g);
-            let old_to_new = inverse_permutation(&new_to_old);
-            reordered = permute_graph(g, &old_to_new);
-            (&reordered, Some(Permutation { new_to_old, old_to_new }))
-        }
-    };
-    // Stage: backend build — on the sparsifier when the stage engaged
-    // (translated into the internal numbering), else on the input.
-    let sparsifier_int;
-    let backend_graph: &MultiGraph = match (&stage, &perm) {
-        (Some(st), Some(p)) => {
-            sparsifier_int = permute_graph(&st.graph, &p.old_to_new);
-            &sparsifier_int
-        }
-        (Some(st), None) => &st.graph,
-        (None, _) => g_int,
-    };
+    // Stage: backend build — on the sparsifier when the stage engaged,
+    // else on the input.
+    let backend_graph = stage.as_ref().map_or(g, |st| &st.graph);
     let resolved_backend = options.backend.resolve(backend_graph);
     let backend = build_backend(backend_graph, options)?;
-    Ok(Prepared { csr: to_csr(g_int), backend, resolved_backend, perm, sparsify: stage })
+    Ok(Prepared { csr: to_csr(g), backend, resolved_backend, sparsify: stage })
 }
 
 /// The sparsify stage: decide, sample, and sanity-check. Returns

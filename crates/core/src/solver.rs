@@ -18,7 +18,7 @@ use crate::apply::ChainBackend;
 use crate::backend::{BackendKind, BackendOp, Preconditioner};
 use crate::chain::CholeskyChain;
 use crate::error::{SolveProgress, SolverError};
-use crate::pipeline::{Permutation, SparsifyStage};
+use crate::pipeline::SparsifyStage;
 use crate::richardson::{certified_target, preconditioned_richardson, RichardsonOptions};
 use parlap_graph::multigraph::MultiGraph;
 use parlap_linalg::cg::{cg_solve, pcg_solve_with, PcgStop};
@@ -27,7 +27,6 @@ use parlap_linalg::interrupt::{InterruptHandle, InterruptReason};
 use parlap_linalg::op::LinOp;
 use parlap_linalg::vector::dot;
 use parlap_primitives::cost::Cost;
-use parlap_primitives::util::par_tabulate;
 
 /// Outer iteration driving the preconditioner to ε accuracy. Both
 /// read ε in the `‖·‖_L` norm under [`SolverOptions::certify_error`].
@@ -41,98 +40,6 @@ pub enum OuterMethod {
     /// (both backends are). More robust than Richardson to a
     /// low-quality chain, since it needs no step size from δ.
     Pcg,
-}
-
-/// Vertex numbering used for the solver's internal working set (CSR
-/// Laplacian and factorization chain).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeOrdering {
-    /// Keep the input numbering (default).
-    Natural,
-    /// Renumber by reverse Cuthill–McKee at build
-    /// ([`parlap_graph::ordering::rcm_order`]): neighbors get nearby
-    /// indices, compacting the cache working set of every row gather.
-    /// The permutation is a pure function of the graph and is inverted
-    /// on solve output, so results stay deterministic and callers see
-    /// the original numbering everywhere.
-    Rcm,
-}
-
-impl NodeOrdering {
-    /// Parse a `PARLAP_REORDER` value. Empty means unset (the
-    /// `Natural` default — CI legs pass `""` for "no override");
-    /// anything other than `natural`/`rcm` is rejected so a typo'd
-    /// deployment (`rcm1`) fails loudly instead of silently running
-    /// the wrong configuration.
-    pub fn parse_env(value: &str) -> Result<Self, String> {
-        match value {
-            "" => Ok(NodeOrdering::Natural),
-            v if v.eq_ignore_ascii_case("natural") => Ok(NodeOrdering::Natural),
-            v if v.eq_ignore_ascii_case("rcm") => Ok(NodeOrdering::Rcm),
-            other => Err(format!(
-                "unrecognized PARLAP_REORDER value {other:?}: expected \"natural\" or \"rcm\""
-            )),
-        }
-    }
-
-    /// Default from the `PARLAP_REORDER` environment variable, read
-    /// once per process via [`NodeOrdering::parse_env`]. Panics with a
-    /// clear message on an unrecognized value.
-    fn default_from_env() -> Self {
-        static CACHE: std::sync::OnceLock<NodeOrdering> = std::sync::OnceLock::new();
-        *CACHE.get_or_init(|| match std::env::var("PARLAP_REORDER") {
-            Ok(v) => Self::parse_env(&v).unwrap_or_else(|e| panic!("{e}")),
-            Err(_) => NodeOrdering::Natural,
-        })
-    }
-}
-
-/// Floating-point precision of the *inner* preconditioner applies
-/// (the outer PCG/Richardson loop is always f64).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InnerPrecision {
-    /// f64 chain applies (default) — bit-identical to previous
-    /// releases.
-    F64,
-    /// f32 shadow-chain applies ([`crate::shadow::ShadowChain`]):
-    /// half the apply working set. The preconditioner is perturbed at
-    /// f32 rounding, which the outer loop absorbs (it only assumes a
-    /// spectral approximation), so solves still reach the requested
-    /// `eps` — with different bits than `F64`, hence opt-in.
-    ///
-    /// Limitation: mixed precision requires the *inner* precision to
-    /// cover the problem's conditioning. With edge-weight ratios
-    /// approaching f32's significand range (κ ≳ 10⁷), the shadow
-    /// preconditioner can degrade arbitrarily and the outer loop may
-    /// diverge — keep `F64` for extreme weight spreads.
-    F32,
-}
-
-impl InnerPrecision {
-    /// Parse a `PARLAP_INNER_PRECISION` value. Empty means unset (the
-    /// `F64` default); anything other than `f64`/`f32` — e.g. the
-    /// unsupported `f16` — is rejected with a clear error.
-    pub fn parse_env(value: &str) -> Result<Self, String> {
-        match value {
-            "" => Ok(InnerPrecision::F64),
-            v if v.eq_ignore_ascii_case("f64") => Ok(InnerPrecision::F64),
-            v if v.eq_ignore_ascii_case("f32") => Ok(InnerPrecision::F32),
-            other => Err(format!(
-                "unrecognized PARLAP_INNER_PRECISION value {other:?}: expected \"f64\" or \"f32\""
-            )),
-        }
-    }
-
-    /// Default from the `PARLAP_INNER_PRECISION` environment variable,
-    /// read once per process via [`InnerPrecision::parse_env`]. Panics
-    /// with a clear message on an unrecognized value.
-    fn default_from_env() -> Self {
-        static CACHE: std::sync::OnceLock<InnerPrecision> = std::sync::OnceLock::new();
-        *CACHE.get_or_init(|| match std::env::var("PARLAP_INNER_PRECISION") {
-            Ok(v) => Self::parse_env(&v).unwrap_or_else(|e| panic!("{e}")),
-            Err(_) => InnerPrecision::F64,
-        })
-    }
 }
 
 /// Whether the build pipeline inserts the spectral-sparsification
@@ -244,24 +151,14 @@ pub struct SolverOptions {
     /// right-hand side whose kernel component is non-negligible with
     /// [`SolverError::InconsistentRhs`].
     pub require_balanced_rhs: bool,
-    /// Internal vertex numbering ([`NodeOrdering::Rcm`] compacts the
-    /// working set; inverted on output). The default follows the
-    /// `PARLAP_REORDER` env variable, `Natural` when unset.
-    pub ordering: NodeOrdering,
-    /// Precision of inner preconditioner applies. The default follows
-    /// the `PARLAP_INNER_PRECISION` env variable, `F64` when unset —
-    /// so the bit-identity contract with previous releases holds
-    /// unless explicitly opted in.
-    pub inner_precision: InnerPrecision,
     /// Which preconditioner backend to build
     /// ([`BackendKind::Chain`], [`BackendKind::Multigrid`], or
     /// [`BackendKind::Auto`]). The default follows the
     /// `PARLAP_BACKEND` env variable, `Chain` when unset — so the
     /// bit-identity contract with previous releases holds unless
-    /// explicitly opted in. The multigrid backend ignores
-    /// [`SolverOptions::split`] and [`SolverOptions::inner_precision`]
-    /// (both are chain-specific), though invalid split parameters are
-    /// still rejected at build.
+    /// explicitly opted in. The multigrid backend ignores the
+    /// chain-specific [`SolverOptions::split`], though invalid split
+    /// parameters are still rejected at build.
     pub backend: BackendKind,
     /// The build pipeline's optional sparsify stage (see
     /// [`SparsifyMode`]). The default follows the `PARLAP_SPARSIFY`
@@ -290,8 +187,6 @@ impl Default for SolverOptions {
             fallback_to_pcg: true,
             certify_error: true,
             require_balanced_rhs: false,
-            ordering: NodeOrdering::default_from_env(),
-            inner_precision: InnerPrecision::default_from_env(),
             backend: BackendKind::default_from_env(),
             sparsify: SparsifyMode::default_from_env(),
             sparsify_eps: 0.6,
@@ -346,10 +241,6 @@ pub struct LaplacianSolver {
     /// `options.backend` with `Auto` resolved against the graph.
     resolved_backend: BackendKind,
     options: SolverOptions,
-    /// RCM permutation when `ordering = Rcm`: `new_to_old[new] = old`,
-    /// `old_to_new[old] = new`. The CSR and backend live in the *new*
-    /// (internal) numbering; `solve` translates at the boundary.
-    perm: Option<Permutation>,
     /// Engaged sparsify stage (see [`SparsifyMode`]): the backend was
     /// built on `sparsify.graph`, the CSR is still the input graph.
     sparsify: Option<SparsifyStage>,
@@ -357,7 +248,7 @@ pub struct LaplacianSolver {
 
 impl LaplacianSolver {
     /// Run the build pipeline ([`crate::pipeline`]): ingest →
-    /// (optional) sparsify → reorder → backend build.
+    /// (optional) sparsify → backend build.
     pub fn build(g: &MultiGraph, options: SolverOptions) -> Result<Self, SolverError> {
         let prepared = crate::pipeline::prepare(g, &options)?;
         Ok(LaplacianSolver {
@@ -366,7 +257,6 @@ impl LaplacianSolver {
             backend: prepared.backend,
             resolved_backend: prepared.resolved_backend,
             options,
-            perm: prepared.perm,
             sparsify: prepared.sparsify,
         })
     }
@@ -456,27 +346,9 @@ impl LaplacianSolver {
         self.backend.as_any().downcast_ref::<ChainBackend>()
     }
 
-    /// The operator `W ≈ L⁺` (borrowing the solver). Under
-    /// [`InnerPrecision::F32`] the chain backend applies through the
-    /// f32 shadow chain. Note: under [`NodeOrdering::Rcm`] this
-    /// operator works in the solver's *internal* numbering.
+    /// The operator `W ≈ L⁺` (borrowing the solver).
     pub fn preconditioner(&self) -> BackendOp<'_> {
         BackendOp(self.backend.as_ref())
-    }
-
-    /// The internal RCM permutation as `new_to_old` (`None` under
-    /// [`NodeOrdering::Natural`]). Exposed for tests and experiments.
-    pub fn ordering_permutation(&self) -> Option<&[u32]> {
-        self.perm.as_ref().map(|p| p.new_to_old.as_slice())
-    }
-
-    /// Translate an original-numbering vector into the solver's
-    /// internal numbering (identity copy under `Natural`).
-    fn to_internal(&self, v: &[f64]) -> Vec<f64> {
-        match &self.perm {
-            None => v.to_vec(),
-            Some(p) => par_tabulate(v.len(), |new| v[p.new_to_old[new] as usize]),
-        }
     }
 
     /// Solve `Lx = b` to accuracy `ε`.
@@ -522,27 +394,6 @@ impl LaplacianSolver {
         interrupt: Option<&InterruptHandle>,
     ) -> Result<SolveOutcome, SolverError> {
         self.validate_request(b, eps)?;
-        match &self.perm {
-            None => self.solve_internal(b, eps, interrupt),
-            Some(p) => {
-                // Gather b into internal order, solve, scatter back:
-                // both translations are pure element maps.
-                let b_int = self.to_internal(b);
-                let mut out = self.solve_internal(&b_int, eps, interrupt)?;
-                out.solution = par_tabulate(self.n, |old| out.solution[p.old_to_new[old] as usize]);
-                Ok(out)
-            }
-        }
-    }
-
-    /// The solve body, in the solver's internal numbering (`b` must
-    /// already be translated; validation already done).
-    fn solve_internal(
-        &self,
-        b: &[f64],
-        eps: f64,
-        interrupt: Option<&InterruptHandle>,
-    ) -> Result<SolveOutcome, SolverError> {
         let w = self.preconditioner();
         match self.options.outer {
             OuterMethod::Richardson => {
@@ -647,14 +498,12 @@ impl LaplacianSolver {
     pub fn estimated_bytes(&self) -> usize {
         // CSR: row pointers (usize), column indices (u32), values (f64).
         let csr = (self.n + 1) * 8 + self.csr.nnz() * (4 + 8);
-        // Both directions of the RCM permutation (u32 each).
-        let perm = if self.perm.is_some() { 2 * self.n * 4 } else { 0 };
         // The retained sparsifier (16 bytes per Edge{u32,u32,f64}) —
         // the backend's own arrays are already counted above.
         let sparsifier = self.sparsify.as_ref().map_or(0, |st| {
             st.edges_after() * std::mem::size_of::<parlap_graph::multigraph::Edge>()
         });
-        std::mem::size_of::<Self>() + csr + self.backend.estimated_bytes() + perm + sparsifier
+        std::mem::size_of::<Self>() + csr + self.backend.estimated_bytes() + sparsifier
     }
 
     /// Mutable chain access for in-crate failure-injection tests (a
@@ -781,11 +630,6 @@ impl LaplacianSolver {
     pub fn relative_error(&self, b: &[f64], x: &[f64]) -> f64 {
         assert_eq!(b.len(), self.n, "relative_error: b dimension");
         assert_eq!(x.len(), self.n, "relative_error: x dimension");
-        // The CSR lives in internal numbering; translate the inputs.
-        // The L-norm is invariant under the joint permutation.
-        let b = self.to_internal(b);
-        let x = self.to_internal(x);
-        let (b, x) = (b.as_slice(), x.as_slice());
         let reference = cg_solve(&self.csr, b, 1e-13, 20 * self.n + 1000);
         let xstar = reference.solution;
         let d: Vec<f64> = x.iter().zip(&xstar).map(|(a, b)| a - b).collect();
@@ -1148,147 +992,6 @@ mod tests {
         assert!(!out.used_fallback);
     }
 
-    /// RCM reordering is invisible to callers: the solution comes back
-    /// in the original numbering and meets the same accuracy.
-    #[test]
-    fn rcm_ordering_transparent_to_callers() {
-        let g = generators::gnp_connected(400, 0.02, 17);
-        let natural = LaplacianSolver::build(&g, opts(7)).expect("build");
-        let rcm =
-            LaplacianSolver::build(&g, SolverOptions { ordering: NodeOrdering::Rcm, ..opts(7) })
-                .expect("build");
-        assert!(rcm.ordering_permutation().is_some());
-        assert!(
-            natural.ordering_permutation().is_none()
-                || natural.options.ordering == NodeOrdering::Rcm
-        );
-        let b = random_demand(400, 23);
-        let out = rcm.solve(&b, 1e-8).expect("solve");
-        assert!(rcm.relative_error(&b, &out.solution) <= 1e-8 * 1.05);
-        // Both solvers approximate the same L⁺b, so they agree to the
-        // solve tolerance (not bitwise: the chains differ).
-        let ref_out = natural.solve(&b, 1e-8).expect("solve");
-        let num: f64 = out
-            .solution
-            .iter()
-            .zip(&ref_out.solution)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        let den: f64 = ref_out.solution.iter().map(|x| x * x).sum::<f64>().sqrt();
-        assert!(num / den < 1e-5, "rcm drifted from natural: {}", num / den);
-    }
-
-    /// Explicitly-selected defaults are bit-identical to the implicit
-    /// defaults — `F64`/`Natural` is exactly the pre-existing solver.
-    #[test]
-    fn explicit_f64_natural_bit_identical_to_default() {
-        // The CI kernels leg sets PARLAP_* overrides that change the
-        // defaults on purpose; this test targets the unset defaults
-        // (other legs set the variables to empty strings = unset).
-        let overridden = |k: &str| std::env::var(k).is_ok_and(|v| !v.is_empty());
-        if overridden("PARLAP_INNER_PRECISION") || overridden("PARLAP_REORDER") {
-            return;
-        }
-        let g = generators::grid2d(16, 16);
-        let dflt = LaplacianSolver::build(&g, opts(5)).expect("build");
-        let explicit = LaplacianSolver::build(
-            &g,
-            SolverOptions {
-                ordering: NodeOrdering::Natural,
-                inner_precision: InnerPrecision::F64,
-                ..opts(5)
-            },
-        )
-        .expect("build");
-        let b = random_demand(256, 2);
-        let a = dflt.solve(&b, 1e-7).expect("solve");
-        let e = explicit.solve(&b, 1e-7).expect("solve");
-        assert_eq!(a.solution, e.solution, "explicit defaults must not change bits");
-        assert_eq!(a.iterations, e.iterations);
-    }
-
-    /// The f32 inner applies still drive the f64 outer loop to eps.
-    #[test]
-    fn f32_inner_precision_meets_eps() {
-        let g = generators::grid2d(22, 22);
-        let solver = LaplacianSolver::build(
-            &g,
-            SolverOptions { inner_precision: InnerPrecision::F32, ..opts(3) },
-        )
-        .expect("build");
-        let b = random_demand(484, 11);
-        for eps in [1e-4, 1e-8] {
-            let out = solver.solve(&b, eps).expect("solve");
-            let err = solver.relative_error(&b, &out.solution);
-            assert!(err <= eps * 1.05, "f32 inner, eps={eps}: error {err}");
-        }
-    }
-
-    /// RCM + f32 combined still meet eps (the CI include-leg shape).
-    #[test]
-    fn rcm_plus_f32_meets_eps() {
-        let g = generators::exponential_weights(&generators::grid2d(18, 18), 50.0, 4);
-        let solver = LaplacianSolver::build(
-            &g,
-            SolverOptions {
-                ordering: NodeOrdering::Rcm,
-                inner_precision: InnerPrecision::F32,
-                ..opts(9)
-            },
-        )
-        .expect("build");
-        let b = random_demand(324, 5);
-        let out = solver.solve(&b, 1e-7).expect("solve");
-        let err = solver.relative_error(&b, &out.solution);
-        assert!(err <= 1e-7 * 1.05, "error {err}");
-    }
-
-    /// `estimated_bytes` must grow when the permutation arrays and the
-    /// f32 shadow are resident — the registry budget stays honest.
-    /// Chain-pinned: the f32 shadow exists only on the chain backend,
-    /// so the `PARLAP_BACKEND=multigrid` CI leg must not retarget it.
-    #[test]
-    fn estimated_bytes_accounts_for_perm_and_shadow() {
-        let g = generators::grid2d(20, 20);
-        let chain_opts = |seed: u64| SolverOptions { backend: BackendKind::Chain, ..opts(seed) };
-        let plain = LaplacianSolver::build(
-            &g,
-            SolverOptions {
-                ordering: NodeOrdering::Natural,
-                inner_precision: InnerPrecision::F64,
-                ..chain_opts(1)
-            },
-        )
-        .expect("build");
-        let rcm = LaplacianSolver::build(
-            &g,
-            SolverOptions {
-                ordering: NodeOrdering::Rcm,
-                inner_precision: InnerPrecision::F64,
-                ..chain_opts(1)
-            },
-        )
-        .expect("build");
-        let f32_solver = LaplacianSolver::build(
-            &g,
-            SolverOptions {
-                ordering: NodeOrdering::Natural,
-                inner_precision: InnerPrecision::F32,
-                ..chain_opts(1)
-            },
-        )
-        .expect("build");
-        // The RCM chain is built on a different numbering so its exact
-        // size differs, but the permutation bookkeeping itself must be
-        // included: compare against the same solver's own parts.
-        let n = g.num_vertices();
-        assert!(rcm.estimated_bytes() >= rcm.backend().estimated_bytes() + 2 * n * 4);
-        // The f32 shadow is resident on top of the f64 chain, so the
-        // mixed-precision solver must report strictly more bytes.
-        assert!(f32_solver.estimated_bytes() > plain.estimated_bytes());
-    }
-
     /// The multigrid backend plugs into the same byte accounting, and
     /// the two backends report themselves distinctly.
     #[test]
@@ -1306,29 +1009,6 @@ mod tests {
         let b = random_demand(400, 3);
         let out = mg.solve(&b, 1e-8).expect("solve");
         assert!(mg.relative_error(&b, &out.solution) <= 1e-8 * 1.05);
-    }
-
-    /// Strict env-knob parsing: typo'd `PARLAP_REORDER` values must be
-    /// rejected, not silently mapped to the default.
-    #[test]
-    fn reorder_env_values_parsed_strictly() {
-        assert_eq!(NodeOrdering::parse_env(""), Ok(NodeOrdering::Natural));
-        assert_eq!(NodeOrdering::parse_env("natural"), Ok(NodeOrdering::Natural));
-        assert_eq!(NodeOrdering::parse_env("rcm"), Ok(NodeOrdering::Rcm));
-        assert_eq!(NodeOrdering::parse_env("RCM"), Ok(NodeOrdering::Rcm));
-        let err = NodeOrdering::parse_env("rcm1").unwrap_err();
-        assert!(err.contains("PARLAP_REORDER") && err.contains("rcm1"), "{err}");
-    }
-
-    /// Strict env-knob parsing: the unsupported `f16` must be rejected,
-    /// not silently mapped to `F64`.
-    #[test]
-    fn inner_precision_env_values_parsed_strictly() {
-        assert_eq!(InnerPrecision::parse_env(""), Ok(InnerPrecision::F64));
-        assert_eq!(InnerPrecision::parse_env("f64"), Ok(InnerPrecision::F64));
-        assert_eq!(InnerPrecision::parse_env("F32"), Ok(InnerPrecision::F32));
-        let err = InnerPrecision::parse_env("f16").unwrap_err();
-        assert!(err.contains("PARLAP_INNER_PRECISION") && err.contains("f16"), "{err}");
     }
 
     /// Every outer method honors a pre-tripped interrupt handle and

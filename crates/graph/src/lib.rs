@@ -16,9 +16,6 @@
 //!   precondition).
 //! * [`components`] — parallel connected components (FastSV hooking),
 //!   the PRAM-model counterpart of the union-find check.
-//! * [`ordering`] — cache-aware node orderings (reverse
-//!   Cuthill–McKee), pure functions of the graph so reordered solvers
-//!   stay deterministic.
 //! * [`dimacs`] — DIMACS-format graph I/O (benchmark instances).
 //! * [`schur`] — exact dense Schur complements, the oracle against
 //!   which `TerminalWalks` unbiasedness (Lemma 5.1) and `ApproxSchur`
@@ -36,7 +33,6 @@ pub mod generators;
 pub mod io;
 pub mod laplacian;
 pub mod multigraph;
-pub mod ordering;
 pub mod schur;
 pub mod walk_sum;
 

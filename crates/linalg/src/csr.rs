@@ -107,15 +107,12 @@ impl LinOp for CsrMatrix {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        // Row products dispatch on the active kernel mode: Scalar is
-        // the historical in-order fold, Simd an 8-lane unrolled fold.
-        // Either way each output is a pure function of its row.
-        let mode = parlap_primitives::kernels::KernelMode::active();
+        // Each row product is the 8-lane fold of its row, a pure
+        // function of the row.
         let kernel = |(i, yi): (usize, &mut f64)| {
             let lo = self.row_ptr[i];
             let hi = self.row_ptr[i + 1];
-            *yi = parlap_primitives::kernels::dot_gather_with(
-                mode,
+            *yi = parlap_primitives::kernels::dot_gather(
                 &self.values[lo..hi],
                 &self.col_idx[lo..hi],
                 x,

@@ -1,18 +1,17 @@
 //! Parallel dense vector kernels.
 //!
-//! Element-wise maps (`axpy`, `scale`, …) route through the
-//! scalar/SIMD kernels of [`parlap_primitives::kernels`] and switch
-//! between a sequential call and a chunked rayon parallel loop at
+//! Element-wise maps (`axpy`, `scale`, …) route through the kernels of
+//! [`parlap_primitives::kernels`] and switch between a sequential call
+//! and a chunked rayon parallel loop at
 //! [`parlap_primitives::util::PAR_CUTOFF`]; each output element depends
-//! only on its own inputs, so they are schedule-independent (and the
-//! kernel mode never changes map bits). Every
+//! only on its own inputs, so they are schedule-independent. Every
 //! floating-point *reduction* (`dot`, `mean`, norms) goes through the
 //! deterministic fixed-chunk tree reduction of
 //! [`parlap_primitives::reduce`], so all results are bit-identical for
 //! any thread count. In the PRAM model each kernel is `O(n)` work and
 //! `O(log n)` depth (reductions) or `O(1)` depth (maps).
 
-use parlap_primitives::kernels::{self, KernelMode};
+use parlap_primitives::kernels;
 use parlap_primitives::prng::StreamRng;
 use parlap_primitives::reduce::{det_dot, det_sum_f64};
 use parlap_primitives::util::{par_apply_chunks, par_zip_apply_chunks, PAR_CUTOFF};
@@ -37,38 +36,34 @@ pub fn norm2(x: &[f64]) -> f64 {
     norm2_sq(x).sqrt()
 }
 
-/// `y ← y + a·x`. Kernel-dispatched (unrolled under
-/// `PARLAP_KERNELS=simd`); element-wise, so the mode never changes
-/// bits, and the chunked parallel path is schedule-independent.
+/// `y ← y + a·x`. Element-wise, so the chunked parallel path is
+/// schedule-independent.
 pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: dimension mismatch");
-    let mode = KernelMode::active();
     if x.len() < PAR_CUTOFF {
-        kernels::axpy_with(mode, a, x, y);
+        kernels::axpy(a, x, y);
     } else {
-        par_zip_apply_chunks(y, x, &|yc, xc| kernels::axpy_with(mode, a, xc, yc));
+        par_zip_apply_chunks(y, x, &|yc, xc| kernels::axpy(a, xc, yc));
     }
 }
 
 /// `y ← x + b·y` (the "xpby" update used by CG's direction
-/// recurrence). Kernel-dispatched like [`axpy`].
+/// recurrence). Element-wise like [`axpy`].
 pub fn xpby(x: &[f64], b: f64, y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "xpby: dimension mismatch");
-    let mode = KernelMode::active();
     if x.len() < PAR_CUTOFF {
-        kernels::xpby_with(mode, x, b, y);
+        kernels::xpby(x, b, y);
     } else {
-        par_zip_apply_chunks(y, x, &|yc, xc| kernels::xpby_with(mode, xc, b, yc));
+        par_zip_apply_chunks(y, x, &|yc, xc| kernels::xpby(xc, b, yc));
     }
 }
 
-/// `x ← a·x`. Kernel-dispatched like [`axpy`].
+/// `x ← a·x`. Element-wise like [`axpy`].
 pub fn scale(a: f64, x: &mut [f64]) {
-    let mode = KernelMode::active();
     if x.len() < PAR_CUTOFF {
-        kernels::scale_with(mode, a, x);
+        kernels::scale(a, x);
     } else {
-        par_apply_chunks(x, &|c| kernels::scale_with(mode, a, c));
+        par_apply_chunks(x, &|c| kernels::scale(a, c));
     }
 }
 

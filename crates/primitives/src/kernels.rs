@@ -1,90 +1,31 @@
-//! Runtime-dispatched scalar/SIMD hot-loop kernels.
+//! Hot-loop kernels.
 //!
 //! Every floating-point hot loop in the solver (chunk folds inside the
 //! deterministic tree reduce, CSR row products, dense `axpy`-family
-//! maps) routes through this module. Two implementations exist per
-//! kernel:
+//! maps) routes through this module, and each kernel has one body.
 //!
-//! * **Scalar** — byte-for-byte the historical sequential loops
-//!   (left-to-right folds). This is the default, so default-options
-//!   output is bit-identical to previous releases.
-//! * **Simd** — fixed [`LANES`]-wide unrolled loops with independent
-//!   lane accumulators, written in safe Rust so the autovectorizer can
-//!   emit AVX2/AVX-512 and, even where it does not, the broken
-//!   dependency chain gives instruction-level parallelism. The lane
-//!   layout is a *constant* (never a function of the detected CPU or
-//!   the thread count), so Simd-mode results are still bit-identical
-//!   across thread counts and across hosts — they just differ from
-//!   Scalar-mode bits wherever a reduction order changes.
-//!
-//! Element-wise maps (`axpy`, `xpby`, `scale`) produce identical bits
-//! in both modes — each output element is one fused expression — so
-//! for those the mode only changes speed, never results.
-//!
-//! The active mode comes from the `PARLAP_KERNELS` environment
-//! variable (`simd` opts in, anything else means scalar), read once
-//! per process. Benches bypass the global and call the `*_with`
-//! entry points to compare both modes in one run.
+//! * **Reductions** (`sum`, `dot`, `norm2_sq`, `dot_gather`,
+//!   `gather_arcs`) fold into fixed [`LANES`]-wide independent lane
+//!   accumulators, written in safe Rust so the autovectorizer can emit
+//!   AVX2/AVX-512 and, even where it does not, the broken dependency
+//!   chain gives instruction-level parallelism. The lane layout is a
+//!   *constant* (never a function of the detected CPU or the thread
+//!   count), so results are bit-identical across thread counts and
+//!   across hosts.
+//! * **Element-wise maps** (`axpy`, `xpby`, `scale`) are plain loops:
+//!   each output element is one fused expression, so there is no
+//!   grouping to choose.
 
-use std::sync::OnceLock;
-
-/// Fixed SIMD unroll width (f64 lanes). Part of the numeric contract
-/// of [`KernelMode::Simd`]: independent of the host CPU, so Simd-mode
-/// bits are portable. Eight f64 lanes fill one AVX-512 register or two
-/// AVX2 registers.
+/// Fixed unroll width (f64 lanes) of the reduction kernels. Part of
+/// their numeric contract: independent of the host CPU, so the bits
+/// are portable. Eight f64 lanes fill one AVX-512 register or two AVX2
+/// registers.
 pub const LANES: usize = 8;
-
-/// Which kernel implementation to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Historical sequential loops; default. Left-to-right folds.
-    Scalar,
-    /// Fixed 8-lane unrolled loops with lane accumulators.
-    Simd,
-}
-
-static ACTIVE: OnceLock<KernelMode> = OnceLock::new();
-
-impl KernelMode {
-    /// Parse a `PARLAP_KERNELS` value (case-insensitive). Empty means
-    /// unset (the `Scalar` default — CI legs pass `""` for "no
-    /// override"); anything other than `scalar`/`simd` — e.g. the
-    /// typo `avx` — is rejected with a clear error instead of
-    /// silently running the scalar kernels.
-    pub fn parse_env(value: &str) -> Result<Self, String> {
-        match value {
-            "" => Ok(KernelMode::Scalar),
-            v if v.eq_ignore_ascii_case("scalar") => Ok(KernelMode::Scalar),
-            v if v.eq_ignore_ascii_case("simd") => Ok(KernelMode::Simd),
-            other => Err(format!(
-                "unrecognized PARLAP_KERNELS value {other:?}: expected \"scalar\" or \"simd\""
-            )),
-        }
-    }
-
-    /// The process-wide active mode, read once from `PARLAP_KERNELS`
-    /// via [`KernelMode::parse_env`]. Panics with a clear message on
-    /// an unrecognized value.
-    pub fn active() -> KernelMode {
-        *ACTIVE.get_or_init(|| match std::env::var("PARLAP_KERNELS") {
-            Ok(v) => Self::parse_env(&v).unwrap_or_else(|e| panic!("{e}")),
-            Err(_) => KernelMode::Scalar,
-        })
-    }
-
-    /// Short lowercase name (`"scalar"` / `"simd"`), for fingerprints.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelMode::Scalar => "scalar",
-            KernelMode::Simd => "simd",
-        }
-    }
-}
 
 /// Best SIMD f64 width the host advertises (8 = AVX-512, 4 = AVX2,
 /// 2 = baseline SSE2 on x86-64, 1 = unknown arch). Informational only:
-/// the unrolled kernels always use [`LANES`] accumulators so their
-/// results do not depend on this probe.
+/// the kernels always use [`LANES`] accumulators so their results do
+/// not depend on this probe.
 pub fn detected_simd_width() -> usize {
     #[cfg(target_arch = "x86_64")]
     {
@@ -114,221 +55,130 @@ fn combine_lanes(acc: [f64; LANES], tail: f64) -> f64 {
     (((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))) + tail
 }
 
-/// Sum of a slice under `mode`. Scalar is the historical
-/// left-to-right `iter().sum()`.
+/// Sum of a slice (8-lane fold).
 #[inline]
-pub fn sum_with(mode: KernelMode, x: &[f64]) -> f64 {
-    match mode {
-        KernelMode::Scalar => x.iter().sum(),
-        KernelMode::Simd => {
-            let mut acc = [0.0f64; LANES];
-            let mut chunks = x.chunks_exact(LANES);
-            for c in chunks.by_ref() {
-                let c: &[f64; LANES] = c.try_into().expect("chunks_exact");
-                for l in 0..LANES {
-                    acc[l] += c[l];
-                }
-            }
-            let tail: f64 = chunks.remainder().iter().sum();
-            combine_lanes(acc, tail)
+pub fn sum(x: &[f64]) -> f64 {
+    let mut acc = [0.0f64; LANES];
+    let mut chunks = x.chunks_exact(LANES);
+    for c in chunks.by_ref() {
+        let c: &[f64; LANES] = c.try_into().expect("chunks_exact");
+        for l in 0..LANES {
+            acc[l] += c[l];
         }
     }
+    let tail: f64 = chunks.remainder().iter().sum();
+    combine_lanes(acc, tail)
 }
 
-/// Dot product `xᵀy` under `mode`. Lengths must match (checked by the
-/// zip in scalar mode, asserted in simd mode).
+/// Dot product `xᵀy` (8-lane fold). Lengths must match.
 #[inline]
-pub fn dot_with(mode: KernelMode, x: &[f64], y: &[f64]) -> f64 {
-    match mode {
-        KernelMode::Scalar => x.iter().zip(y).map(|(a, b)| a * b).sum(),
-        KernelMode::Simd => {
-            debug_assert_eq!(x.len(), y.len());
-            let mut acc = [0.0f64; LANES];
-            let mut xs = x.chunks_exact(LANES);
-            let mut ys = y.chunks_exact(LANES);
-            for (cx, cy) in xs.by_ref().zip(ys.by_ref()) {
-                let cx: &[f64; LANES] = cx.try_into().expect("chunks_exact");
-                let cy: &[f64; LANES] = cy.try_into().expect("chunks_exact");
-                for l in 0..LANES {
-                    acc[l] += cx[l] * cy[l];
-                }
-            }
-            let tail: f64 = xs.remainder().iter().zip(ys.remainder()).map(|(a, b)| a * b).sum();
-            combine_lanes(acc, tail)
+pub fn dot(x: &[f64], y: &[f64]) -> f64 {
+    debug_assert_eq!(x.len(), y.len());
+    let mut acc = [0.0f64; LANES];
+    let mut xs = x.chunks_exact(LANES);
+    let mut ys = y.chunks_exact(LANES);
+    for (cx, cy) in xs.by_ref().zip(ys.by_ref()) {
+        let cx: &[f64; LANES] = cx.try_into().expect("chunks_exact");
+        let cy: &[f64; LANES] = cy.try_into().expect("chunks_exact");
+        for l in 0..LANES {
+            acc[l] += cx[l] * cy[l];
         }
     }
+    let tail: f64 = xs.remainder().iter().zip(ys.remainder()).map(|(a, b)| a * b).sum();
+    combine_lanes(acc, tail)
 }
 
-/// Squared Euclidean norm under `mode`.
+/// Squared Euclidean norm (8-lane fold).
 #[inline]
-pub fn norm2_sq_with(mode: KernelMode, x: &[f64]) -> f64 {
-    match mode {
-        KernelMode::Scalar => x.iter().map(|v| v * v).sum(),
-        KernelMode::Simd => {
-            let mut acc = [0.0f64; LANES];
-            let mut chunks = x.chunks_exact(LANES);
-            for c in chunks.by_ref() {
-                let c: &[f64; LANES] = c.try_into().expect("chunks_exact");
-                for l in 0..LANES {
-                    acc[l] += c[l] * c[l];
-                }
-            }
-            let tail: f64 = chunks.remainder().iter().map(|v| v * v).sum();
-            combine_lanes(acc, tail)
+pub fn norm2_sq(x: &[f64]) -> f64 {
+    let mut acc = [0.0f64; LANES];
+    let mut chunks = x.chunks_exact(LANES);
+    for c in chunks.by_ref() {
+        let c: &[f64; LANES] = c.try_into().expect("chunks_exact");
+        for l in 0..LANES {
+            acc[l] += c[l] * c[l];
         }
     }
+    let tail: f64 = chunks.remainder().iter().map(|v| v * v).sum();
+    combine_lanes(acc, tail)
 }
 
 /// Sparse row product `Σₖ values[k] · x[cols[k]]` — the CSR matvec
-/// inner loop. Scalar is the historical running sum; Simd unrolls into
-/// [`LANES`] independent accumulators so the gather+multiply chain
-/// pipelines.
+/// inner loop, unrolled into [`LANES`] independent accumulators so the
+/// gather+multiply chain pipelines.
 #[inline]
-pub fn dot_gather_with(mode: KernelMode, values: &[f64], cols: &[u32], x: &[f64]) -> f64 {
+pub fn dot_gather(values: &[f64], cols: &[u32], x: &[f64]) -> f64 {
     debug_assert_eq!(values.len(), cols.len());
-    match mode {
-        KernelMode::Scalar => {
-            let mut acc = 0.0;
-            for (v, c) in values.iter().zip(cols) {
-                acc += v * x[*c as usize];
-            }
-            acc
+    let mut acc = [0.0f64; LANES];
+    let mut vs = values.chunks_exact(LANES);
+    let mut cs = cols.chunks_exact(LANES);
+    for (cv, cc) in vs.by_ref().zip(cs.by_ref()) {
+        let cv: &[f64; LANES] = cv.try_into().expect("chunks_exact");
+        let cc: &[u32; LANES] = cc.try_into().expect("chunks_exact");
+        // Split gather from multiply-accumulate: the loads fill a
+        // fixed array (no FP dependencies), then the fused lane loop
+        // vectorizes cleanly.
+        let mut g = [0.0f64; LANES];
+        for l in 0..LANES {
+            g[l] = x[cc[l] as usize];
         }
-        KernelMode::Simd => {
-            let mut acc = [0.0f64; LANES];
-            let mut vs = values.chunks_exact(LANES);
-            let mut cs = cols.chunks_exact(LANES);
-            for (cv, cc) in vs.by_ref().zip(cs.by_ref()) {
-                let cv: &[f64; LANES] = cv.try_into().expect("chunks_exact");
-                let cc: &[u32; LANES] = cc.try_into().expect("chunks_exact");
-                // Split gather from multiply-accumulate: the loads fill
-                // a fixed array (no FP dependencies), then the fused
-                // lane loop vectorizes cleanly.
-                let mut g = [0.0f64; LANES];
-                for l in 0..LANES {
-                    g[l] = x[cc[l] as usize];
-                }
-                for l in 0..LANES {
-                    acc[l] += cv[l] * g[l];
-                }
-            }
-            let mut tail = 0.0;
-            for (v, c) in vs.remainder().iter().zip(cs.remainder()) {
-                tail += v * x[*c as usize];
-            }
-            combine_lanes(acc, tail)
+        for l in 0..LANES {
+            acc[l] += cv[l] * g[l];
         }
     }
+    let mut tail = 0.0;
+    for (v, c) in vs.remainder().iter().zip(cs.remainder()) {
+        tail += v * x[*c as usize];
+    }
+    combine_lanes(acc, tail)
 }
 
 /// Weighted-arc row product `Σ w · x[t]` over `(target, weight)`
-/// pairs — the chain's adjacency gather. Same contract as
-/// [`dot_gather_with`].
+/// pairs — the chain's adjacency gather. Same fold as [`dot_gather`].
 #[inline]
-pub fn gather_arcs_with(mode: KernelMode, arcs: &[(u32, f64)], x: &[f64]) -> f64 {
-    match mode {
-        KernelMode::Scalar => {
-            let mut acc = 0.0;
-            for &(t, w) in arcs {
-                acc += w * x[t as usize];
-            }
-            acc
+pub fn gather_arcs(arcs: &[(u32, f64)], x: &[f64]) -> f64 {
+    let mut acc = [0.0f64; LANES];
+    let mut chunks = arcs.chunks_exact(LANES);
+    for c in chunks.by_ref() {
+        let c: &[(u32, f64); LANES] = c.try_into().expect("chunks_exact");
+        let mut g = [0.0f64; LANES];
+        for l in 0..LANES {
+            g[l] = x[c[l].0 as usize];
         }
-        KernelMode::Simd => {
-            let mut acc = [0.0f64; LANES];
-            let mut chunks = arcs.chunks_exact(LANES);
-            for c in chunks.by_ref() {
-                let c: &[(u32, f64); LANES] = c.try_into().expect("chunks_exact");
-                let mut g = [0.0f64; LANES];
-                for l in 0..LANES {
-                    g[l] = x[c[l].0 as usize];
-                }
-                for l in 0..LANES {
-                    acc[l] += c[l].1 * g[l];
-                }
-            }
-            let mut tail = 0.0;
-            for &(t, w) in chunks.remainder() {
-                tail += w * x[t as usize];
-            }
-            combine_lanes(acc, tail)
+        for l in 0..LANES {
+            acc[l] += c[l].1 * g[l];
         }
     }
+    let mut tail = 0.0;
+    for &(t, w) in chunks.remainder() {
+        tail += w * x[t as usize];
+    }
+    combine_lanes(acc, tail)
 }
 
-/// `y ← y + a·x`, unrolled under Simd. Element-wise: both modes give
-/// identical bits.
+/// `y ← y + a·x`.
 #[inline]
-pub fn axpy_with(mode: KernelMode, a: f64, x: &[f64], y: &mut [f64]) {
+pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
-    match mode {
-        KernelMode::Scalar => {
-            for (yi, xi) in y.iter_mut().zip(x) {
-                *yi += a * xi;
-            }
-        }
-        KernelMode::Simd => {
-            let mut ys = y.chunks_exact_mut(LANES);
-            let mut xs = x.chunks_exact(LANES);
-            for (cy, cx) in ys.by_ref().zip(xs.by_ref()) {
-                for (yi, xi) in cy.iter_mut().zip(cx) {
-                    *yi += a * xi;
-                }
-            }
-            for (yi, xi) in ys.into_remainder().iter_mut().zip(xs.remainder()) {
-                *yi += a * xi;
-            }
-        }
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += a * xi;
     }
 }
 
-/// `y ← x + b·y`, unrolled under Simd. Element-wise: mode never
-/// changes bits.
+/// `y ← x + b·y`.
 #[inline]
-pub fn xpby_with(mode: KernelMode, x: &[f64], b: f64, y: &mut [f64]) {
+pub fn xpby(x: &[f64], b: f64, y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
-    match mode {
-        KernelMode::Scalar => {
-            for (yi, xi) in y.iter_mut().zip(x) {
-                *yi = xi + b * *yi;
-            }
-        }
-        KernelMode::Simd => {
-            let mut ys = y.chunks_exact_mut(LANES);
-            let mut xs = x.chunks_exact(LANES);
-            for (cy, cx) in ys.by_ref().zip(xs.by_ref()) {
-                for (yi, xi) in cy.iter_mut().zip(cx) {
-                    *yi = xi + b * *yi;
-                }
-            }
-            for (yi, xi) in ys.into_remainder().iter_mut().zip(xs.remainder()) {
-                *yi = xi + b * *yi;
-            }
-        }
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi = xi + b * *yi;
     }
 }
 
-/// `x ← a·x`, unrolled under Simd. Element-wise: mode never changes
-/// bits.
+/// `x ← a·x`.
 #[inline]
-pub fn scale_with(mode: KernelMode, a: f64, x: &mut [f64]) {
-    match mode {
-        KernelMode::Scalar => {
-            for xi in x.iter_mut() {
-                *xi *= a;
-            }
-        }
-        KernelMode::Simd => {
-            let mut chunks = x.chunks_exact_mut(LANES);
-            for c in chunks.by_ref() {
-                for xi in c.iter_mut() {
-                    *xi *= a;
-                }
-            }
-            for xi in chunks.into_remainder() {
-                *xi *= a;
-            }
-        }
+pub fn scale(a: f64, x: &mut [f64]) {
+    for xi in x.iter_mut() {
+        *xi *= a;
     }
 }
 
@@ -342,35 +192,24 @@ mod tests {
         (x, y)
     }
 
+    /// Left-to-right sequential fold: the reference the lane folds are
+    /// checked against.
+    fn seq_fold(terms: impl Iterator<Item = f64>) -> f64 {
+        terms.fold(0.0, |acc, t| acc + t)
+    }
+
     #[test]
     fn simd_reductions_match_scalar_to_rounding() {
         for n in [0, 1, 7, 8, 9, 63, 64, 1000, 4096, 4099] {
             let (x, y) = vecs(n);
             let pairs = [
-                (sum_with(KernelMode::Scalar, &x), sum_with(KernelMode::Simd, &x)),
-                (dot_with(KernelMode::Scalar, &x, &y), dot_with(KernelMode::Simd, &x, &y)),
-                (norm2_sq_with(KernelMode::Scalar, &x), norm2_sq_with(KernelMode::Simd, &x)),
+                (seq_fold(x.iter().copied()), sum(&x)),
+                (seq_fold(x.iter().zip(&y).map(|(a, b)| a * b)), dot(&x, &y)),
+                (seq_fold(x.iter().map(|v| v * v)), norm2_sq(&x)),
             ];
             for (s, v) in pairs {
                 assert!((s - v).abs() <= 1e-10 * s.abs().max(1.0), "n={n}: {s} vs {v}");
             }
-        }
-    }
-
-    #[test]
-    fn simd_element_maps_bit_identical_to_scalar() {
-        for n in [0, 1, 8, 9, 1000, 4099] {
-            let (x, y0) = vecs(n);
-            let (mut ys, mut yv) = (y0.clone(), y0.clone());
-            axpy_with(KernelMode::Scalar, 1.7, &x, &mut ys);
-            axpy_with(KernelMode::Simd, 1.7, &x, &mut yv);
-            assert_eq!(ys, yv, "axpy bits differ at n={n}");
-            xpby_with(KernelMode::Scalar, &x, -0.3, &mut ys);
-            xpby_with(KernelMode::Simd, &x, -0.3, &mut yv);
-            assert_eq!(ys, yv, "xpby bits differ at n={n}");
-            scale_with(KernelMode::Scalar, 0.9, &mut ys);
-            scale_with(KernelMode::Simd, 0.9, &mut yv);
-            assert_eq!(ys, yv, "scale bits differ at n={n}");
         }
     }
 
@@ -381,57 +220,28 @@ mod tests {
         for rows in [0, 1, 5, 8, 33, 499] {
             let cols: Vec<u32> = (0..rows).map(|k| ((k * 37) % n) as u32).collect();
             let vs = &vals[..rows];
-            let s = dot_gather_with(KernelMode::Scalar, vs, &cols, &x);
-            let v = dot_gather_with(KernelMode::Simd, vs, &cols, &x);
+            let s = seq_fold(vs.iter().zip(&cols).map(|(v, &c)| v * x[c as usize]));
+            let v = dot_gather(vs, &cols, &x);
             assert!((s - v).abs() <= 1e-12 * s.abs().max(1.0), "rows={rows}: {s} vs {v}");
             let arcs: Vec<(u32, f64)> = cols.iter().zip(vs).map(|(&c, &w)| (c, w)).collect();
-            let sa = gather_arcs_with(KernelMode::Scalar, &arcs, &x);
-            let va = gather_arcs_with(KernelMode::Simd, &arcs, &x);
-            assert!((sa - va).abs() <= 1e-12 * sa.abs().max(1.0), "arcs rows={rows}");
+            let va = gather_arcs(&arcs, &x);
+            assert_eq!(va.to_bits(), v.to_bits(), "arcs rows={rows}: same fold as dot_gather");
         }
     }
 
     #[test]
     fn tail_only_inputs_are_bit_identical_across_modes() {
         // Fewer than LANES elements never enter the lane loop, so even
-        // the reductions agree bitwise — this keeps tiny exact-value
-        // tests meaningful in both modes.
+        // the reductions agree bitwise with the sequential fold — this
+        // keeps tiny exact-value tests meaningful.
         let (x, y) = vecs(LANES - 1);
-        assert_eq!(
-            sum_with(KernelMode::Scalar, &x).to_bits(),
-            sum_with(KernelMode::Simd, &x).to_bits()
-        );
-        assert_eq!(
-            dot_with(KernelMode::Scalar, &x, &y).to_bits(),
-            dot_with(KernelMode::Simd, &x, &y).to_bits()
-        );
-    }
-
-    /// Strict env-knob parsing: the typo `avx` must be rejected, not
-    /// silently mapped to the scalar default.
-    #[test]
-    fn kernel_env_values_parsed_strictly() {
-        assert_eq!(KernelMode::parse_env(""), Ok(KernelMode::Scalar));
-        assert_eq!(KernelMode::parse_env("scalar"), Ok(KernelMode::Scalar));
-        assert_eq!(KernelMode::parse_env("SIMD"), Ok(KernelMode::Simd));
-        let err = KernelMode::parse_env("avx").unwrap_err();
-        assert!(err.contains("PARLAP_KERNELS") && err.contains("avx"), "{err}");
+        assert_eq!(seq_fold(x.iter().copied()).to_bits(), sum(&x).to_bits());
+        assert_eq!(seq_fold(x.iter().zip(&y).map(|(a, b)| a * b)).to_bits(), dot(&x, &y).to_bits());
     }
 
     #[test]
     fn detected_width_is_sane() {
         let w = detected_simd_width();
         assert!(w == 1 || w == 2 || w == 4 || w == 8, "width {w}");
-    }
-
-    #[test]
-    fn active_mode_defaults_to_scalar_and_names() {
-        // The test harness does not set PARLAP_KERNELS, so the cached
-        // mode must be Scalar (CI's simd leg runs a separate process).
-        if std::env::var("PARLAP_KERNELS").is_err() {
-            assert_eq!(KernelMode::active(), KernelMode::Scalar);
-        }
-        assert_eq!(KernelMode::Scalar.name(), "scalar");
-        assert_eq!(KernelMode::Simd.name(), "simd");
     }
 }

@@ -15,9 +15,8 @@
 //! * [`reduce`] — deterministic fixed-chunk tree reductions: the
 //!   floating-point `sum`/`dot` primitive every solver hot path goes
 //!   through, bit-identical for any thread count.
-//! * [`kernels`] — runtime-dispatched scalar/SIMD hot-loop kernels
-//!   (chunk folds, CSR row products, `axpy`-family maps) behind a
-//!   process-wide [`kernels::KernelMode`].
+//! * [`kernels`] — the hot-loop kernels: 8-lane chunk folds and CSR
+//!   row products, plain `axpy`-family maps.
 //! * [`util`] — small parallel helpers (parallel fill, reductions).
 
 #![forbid(unsafe_code)]
@@ -32,7 +31,7 @@ pub mod scan;
 pub mod util;
 
 pub use cost::{Cost, CostMeter};
-pub use kernels::{detected_simd_width, KernelMode};
+pub use kernels::detected_simd_width;
 pub use prng::{PhiloxStream, StreamRng};
 pub use reduce::{det_dot, det_norm2_sq, det_reduce_f64, det_sum_f64};
 pub use sample::{AliasTable, PrefixSampler};

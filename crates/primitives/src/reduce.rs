@@ -5,9 +5,9 @@
 //! different bits for different thread counts. This module fixes the
 //! *shape* of the reduction instead: the input is cut into chunks of
 //! exactly [`DET_CHUNK`] elements (a constant — never a function of
-//! the thread count), each chunk is folded sequentially left-to-right,
-//! and the per-chunk partials are combined by a balanced pairwise tree
-//! in index order. Only *which thread* computes each chunk varies with
+//! the thread count), each chunk is folded by a fixed 8-lane kernel
+//! ([`crate::kernels`]), and the per-chunk partials are combined by a
+//! balanced pairwise tree in index order. Only *which thread* computes each chunk varies with
 //! the pool size; *what* is computed never does, so results are
 //! bit-identical for any `RAYON_NUM_THREADS` — the property
 //! `tests/determinism_apps.rs` enforces all the way down to whole
@@ -32,8 +32,8 @@ pub const DET_CHUNK: usize = 4096;
 ///
 /// `chunk_fold` receives each chunk's index range (always
 /// `[k·DET_CHUNK, min((k+1)·DET_CHUNK, n))`) and must return the
-/// chunk's sequential partial sum. It is called concurrently, once per
-/// chunk, in an order that may vary — but every invocation is a pure
+/// chunk's partial sum. It is called concurrently, once per chunk, in
+/// an order that may vary — but every invocation is a pure
 /// function of its range, so the result never varies.
 pub fn det_reduce_f64<F>(n: usize, chunk_fold: F) -> f64
 where
@@ -95,33 +95,28 @@ fn tree_combine(mut partials: Vec<f64>) -> f64 {
 
 /// Deterministic sum of `values` (fixed-chunk tree reduction).
 ///
-/// The within-chunk fold dispatches on the active
-/// [`KernelMode`](crate::kernels::KernelMode): `Scalar` (default) is
-/// the historical left-to-right fold, `Simd` an 8-lane unrolled fold.
-/// Both are pure functions of the chunk range, and the chunk layout is
-/// fixed by [`det_reduce_f64`], so either mode is bit-identical across
-/// thread counts — only switching modes changes bits.
+/// Each chunk is folded by the 8-lane kernel of
+/// [`kernels::sum`](crate::kernels::sum), a pure function of the chunk
+/// range, and the chunk layout is fixed by [`det_reduce_f64`], so the
+/// result is bit-identical across thread counts.
 pub fn det_sum_f64(values: &[f64]) -> f64 {
-    let mode = crate::kernels::KernelMode::active();
-    det_reduce_f64(values.len(), |r| crate::kernels::sum_with(mode, &values[r]))
+    det_reduce_f64(values.len(), |r| crate::kernels::sum(&values[r]))
 }
 
-/// Deterministic dot product `xᵀy` (kernel-dispatched chunk folds, see
+/// Deterministic dot product `xᵀy` (8-lane chunk folds, see
 /// [`det_sum_f64`]).
 ///
 /// # Panics
 /// Panics if the lengths differ.
 pub fn det_dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "det_dot: dimension mismatch");
-    let mode = crate::kernels::KernelMode::active();
-    det_reduce_f64(x.len(), |r| crate::kernels::dot_with(mode, &x[r.clone()], &y[r]))
+    det_reduce_f64(x.len(), |r| crate::kernels::dot(&x[r.clone()], &y[r]))
 }
 
-/// Deterministic squared Euclidean norm (kernel-dispatched chunk
-/// folds, see [`det_sum_f64`]).
+/// Deterministic squared Euclidean norm (8-lane chunk folds, see
+/// [`det_sum_f64`]).
 pub fn det_norm2_sq(x: &[f64]) -> f64 {
-    let mode = crate::kernels::KernelMode::active();
-    det_reduce_f64(x.len(), |r| crate::kernels::norm2_sq_with(mode, &x[r]))
+    det_reduce_f64(x.len(), |r| crate::kernels::norm2_sq(&x[r]))
 }
 
 #[cfg(test)]
@@ -178,17 +173,14 @@ mod tests {
 
     #[test]
     fn simd_chunk_folds_bit_identical_across_thread_counts() {
-        // The env-selected mode is process-global, so exercise the
-        // Simd fold explicitly: it is a pure function of the chunk
-        // range, hence just as thread-count independent as Scalar.
-        use crate::kernels::{dot_with, KernelMode};
+        // The 8-lane fold is a pure function of the chunk range, so
+        // the fixed-chunk tree over it is thread-count independent.
+        use crate::kernels::dot;
         let n = 5 * DET_CHUNK + 321;
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.19).sin()).collect();
         let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).cos()).collect();
         let run = |threads: usize| {
-            with_threads(threads, || {
-                det_reduce_f64(n, |r| dot_with(KernelMode::Simd, &x[r.clone()], &y[r])).to_bits()
-            })
+            with_threads(threads, || det_reduce_f64(n, |r| dot(&x[r.clone()], &y[r])).to_bits())
         };
         let base = run(1);
         for t in [2, 8] {

@@ -17,11 +17,10 @@
 //!   complements (test oracle).
 //! * [`core`] — the paper's algorithms: `5DDSubset`, `TerminalWalks`,
 //!   `BlockCholesky`, `ApplyCholesky`, `PreconRichardson`,
-//!   `ApproxSchur`, plus the sequential Kyng–Sachdeva baseline and an
-//!   SDD front-end (Gremban reduction).
+//!   `ApproxSchur`, plus the sequential Kyng–Sachdeva baseline, an
+//!   SDD front-end (Gremban reduction) and spectral sparsification.
 //! * [`apps`] — downstream applications: electrical flows, approximate
-//!   max-flow, spanning-tree sampling, label propagation, spectral
-//!   sparsification.
+//!   max-flow, spanning-tree sampling, label propagation.
 //!
 //! ## Quickstart
 //!
@@ -53,7 +52,6 @@ pub mod prelude {
         mincut::stoer_wagner,
         pagerank::{pagerank_power_iteration, PageRankSolver},
         spanning_tree::{aldous_broder_ust, tree_count, wilson_ust},
-        sparsify::{sparsify, sparsify_to_eps, SparsifyOptions},
     };
     pub use parlap_core::{
         alpha::SplitStrategy,
@@ -67,9 +65,8 @@ pub mod prelude {
         schur_approx::{approx_schur, ApproxSchurOptions},
         sdd::{SddMatrix, SddSolver},
         service::{ServiceConfig, ServiceStats, SolveService, SolveTicket},
-        solver::{
-            InnerPrecision, LaplacianSolver, NodeOrdering, OuterMethod, SolveOutcome, SolverOptions,
-        },
+        solver::{LaplacianSolver, OuterMethod, SolveOutcome, SolverOptions},
+        sparsify::{sparsify, sparsify_to_eps, SparsifyOptions},
         spectral::{fiedler_vector, spectral_bisection, FiedlerOptions},
         SolveProgress, SolverError,
     };

@@ -52,8 +52,8 @@ fn sparsify_to_eps_identical_across_1_2_8_threads() {
 
 /// Whole-solve bit-identity with the sparsify stage *engaged*: on a
 /// dense graph the backend is built on the sampled sparsifier, and
-/// every stage — leverage sketch, chunked alias sampling, reorder,
-/// backend build, outer iteration — must still be a pure function of
+/// every stage — leverage sketch, chunked alias sampling, backend
+/// build, outer iteration — must still be a pure function of
 /// (graph, options), so solutions stay bit-identical at 1, 2, and 8
 /// workers. This is the CI-gated leg for `PARLAP_SPARSIFY=on`.
 #[test]
@@ -217,47 +217,6 @@ fn whole_solve_identical_across_1_2_4_8_threads() {
     let base = run(1);
     for threads in [2, 4, 8] {
         assert_eq!(run(threads), base, "solve output changed at {threads} threads");
-    }
-}
-
-/// Whole-solve bit-identity with the kernel-acceleration options on:
-/// RCM reordering permutes the working set and the f32 shadow chain
-/// carries the inner applies, yet both are pure functions of the graph
-/// (sequential BFS; element maps + in-order row folds), so the output
-/// must still be bit-identical at 1, 2, and 8 workers. This is the
-/// CI-gated leg for the reordered/mixed-precision configuration.
-#[test]
-fn whole_solve_with_rcm_and_f32_identical_across_1_2_8_threads() {
-    use parlap_core::solver::{InnerPrecision, NodeOrdering};
-    let g = generators::grid2d(40, 40);
-    let b = parlap_linalg::vector::random_demand(1600, 51);
-    let configs =
-        [(NodeOrdering::Rcm, InnerPrecision::F64), (NodeOrdering::Rcm, InnerPrecision::F32)];
-    for (ordering, inner_precision) in configs {
-        let run = |threads: usize| {
-            with_threads(threads, || {
-                let solver = LaplacianSolver::build(
-                    &g,
-                    SolverOptions {
-                        seed: 13,
-                        ordering,
-                        inner_precision,
-                        ..SolverOptions::default()
-                    },
-                )
-                .unwrap();
-                let out = solver.solve(&b, 1e-7).unwrap();
-                (out.iterations, out.solution.iter().map(|f| f.to_bits()).collect::<Vec<_>>())
-            })
-        };
-        let base = run(1);
-        for threads in [2, 8] {
-            assert_eq!(
-                run(threads),
-                base,
-                "solve output changed at {threads} threads ({ordering:?}, {inner_precision:?})"
-            );
-        }
     }
 }
 

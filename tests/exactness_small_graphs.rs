@@ -69,77 +69,6 @@ fn star_solver_matches_dense_pseudoinverse() {
     assert!(gap < 1e-7, "star S_{n}: ‖x̃ − L⁺b‖₂ = {gap:e}");
 }
 
-/// The f32 shadow preconditioner only perturbs the *preconditioner*;
-/// the f64 outer loop still drives the residual to `eps = 1e-10`, so
-/// the oracle gaps must meet the same `1e-7` bar as the f64 suite.
-#[test]
-fn f32_inner_applies_meet_oracle_gaps() {
-    let opts = |seed: u64| SolverOptions {
-        seed,
-        inner_precision: InnerPrecision::F32,
-        ..SolverOptions::default()
-    };
-    let n = 13;
-    let path = generators::path(n);
-    let mut b = vec![0.0; n];
-    b[0] = 1.0;
-    b[n - 1] = -1.0;
-    let gap = solver_vs_pinv_gap_with(&path, &b, opts(0xa11ce));
-    assert!(gap < 1e-7, "f32 inner, path P_{n}: gap = {gap:e}");
-
-    let m = 12;
-    let star = generators::star(m);
-    let mut b2 = vec![0.0; m];
-    b2[1] = 1.0;
-    b2[m - 1] = -1.0;
-    let gap2 = solver_vs_pinv_gap_with(&star, &b2, opts(0x57a2));
-    assert!(gap2 < 1e-7, "f32 inner, star S_{m}: gap = {gap2:e}");
-
-    // RCM reordering composed with the f32 shadow: still exact.
-    let gap3 = solver_vs_pinv_gap_with(
-        &path,
-        &b,
-        SolverOptions { ordering: NodeOrdering::Rcm, ..opts(0xa11ce) },
-    );
-    assert!(gap3 < 1e-7, "f32 + rcm, path P_{n}: gap = {gap3:e}");
-}
-
-/// Spelling out `inner_precision: F64` must reproduce the default
-/// solver bit-for-bit — the opt-out path really is the old code.
-#[test]
-fn explicit_f64_is_bitwise_the_default_solver() {
-    // The CI kernels leg exports PARLAP_* overrides that deliberately
-    // change the defaults; this test is about the *unset* defaults.
-    // (Other CI legs set the variables to empty strings, which the
-    // readers treat as unset.)
-    let overridden = |k: &str| std::env::var(k).is_ok_and(|v| !v.is_empty());
-    if overridden("PARLAP_INNER_PRECISION") || overridden("PARLAP_REORDER") {
-        return;
-    }
-    let n = 13;
-    let g = generators::path(n);
-    let mut b = vec![0.0; n];
-    b[0] = 1.0;
-    b[n - 1] = -1.0;
-    let dflt = LaplacianSolver::build(&g, SolverOptions { seed: 4, ..SolverOptions::default() })
-        .expect("build");
-    let explicit = LaplacianSolver::build(
-        &g,
-        SolverOptions {
-            seed: 4,
-            inner_precision: InnerPrecision::F64,
-            ordering: NodeOrdering::Natural,
-            ..SolverOptions::default()
-        },
-    )
-    .expect("build");
-    let a = dflt.solve(&b, 1e-10).expect("solve");
-    let e = explicit.solve(&b, 1e-10).expect("solve");
-    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&a.solution), bits(&e.solution));
-    assert_eq!(a.iterations, e.iterations);
-}
-
 #[test]
 fn pinv_oracle_matches_closed_forms() {
     // The oracle itself must agree with textbook effective

@@ -91,16 +91,7 @@ fn extreme_weight_ratios_survive() {
         edges.push(Edge::new(i, i + 1, w));
     }
     let g = MultiGraph::from_edges(31, edges);
-    // Pin f64 inner applies: an f32 shadow chain (the
-    // PARLAP_INNER_PRECISION=f32 CI leg) cannot resolve κ ≈ 1e8 —
-    // mixed precision requires the inner precision to cover the
-    // condition number, which is a documented limitation of F32, not
-    // a robustness bug in the solver.
-    let opts = SolverOptions {
-        outer: OuterMethod::Pcg,
-        inner_precision: InnerPrecision::F64,
-        ..SolverOptions::default()
-    };
+    let opts = SolverOptions { outer: OuterMethod::Pcg, ..SolverOptions::default() };
     let solver = LaplacianSolver::build(&g, opts).unwrap();
     let b = parlap_linalg::vector::pair_demand(31, 0, 30);
     let out = solver.solve(&b, 1e-8).unwrap();
