@@ -33,6 +33,7 @@ use crate::error::SolverError;
 use crate::multigrid::MultigridBackend;
 use crate::solver::SolverOptions;
 use parlap_graph::multigraph::MultiGraph;
+use parlap_linalg::dense::DenseMatrix;
 use parlap_primitives::cost::Cost;
 
 /// Which preconditioner backend a solver builds.
@@ -219,6 +220,23 @@ pub fn build_backend(
         BackendKind::Multigrid => Ok(Box::new(MultigridBackend::build(g, options)?)),
         BackendKind::Auto => unreachable!("resolve() never returns Auto"),
     }
+}
+
+/// The exact dense base solve both backends end in: the
+/// pseudoinverse of the ≤ `base_size` base Laplacian by grounded
+/// Cholesky ([`DenseMatrix::laplacian_pinv`]), one grounded vertex per
+/// component. A base with an entry or pivot that is not finite, or a
+/// pivot that is not positive — in practice, edge weights whose sums
+/// overflowed — fails the build instead of leaving a base that cannot
+/// meet any `ε`.
+pub(crate) fn dense_base_pinv(l: &DenseMatrix) -> Result<DenseMatrix, SolverError> {
+    l.laplacian_pinv().ok_or_else(|| {
+        SolverError::InvariantViolation(format!(
+            "grounded Cholesky of the {}-vertex base Laplacian failed: an entry or pivot \
+             is not finite, or a pivot is not positive (do summed edge weights overflow?)",
+            l.dim()
+        ))
+    })
 }
 
 #[cfg(test)]

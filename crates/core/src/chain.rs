@@ -6,7 +6,7 @@
 //! complement onto `C_k` (Algorithm 4). The chain
 //! `(G(0), …, G(d); F_1, …, F_d)` terminates when ≤ `base_size`
 //! (default 100, per the paper) vertices remain; the base Laplacian is
-//! pseudo-inverted densely.
+//! pseudo-inverted exactly by a dense grounded Cholesky.
 //!
 //! Theorem 3.9 invariants, all checked by tests/experiments:
 //! 1. every `G(k)` has at most `m` multi-edges,
@@ -16,6 +16,7 @@
 //! 5. the implied factorization is a `0.5`-approximation of `L` w.h.p.
 //!    (for `α⁻¹ = Θ(log² n)` input splitting).
 
+use crate::backend::dense_base_pinv;
 use crate::blocks::{CrossBlock, LocalLap};
 use crate::error::SolverError;
 use crate::five_dd::{five_dd_subset, SAMPLE_FRACTION};
@@ -272,12 +273,11 @@ pub fn block_cholesky(g: &MultiGraph, opts: &ChainOptions) -> Result<CholeskyCha
         k += 1;
     }
 
-    // Base case: simplify the ≤ base_size multigraph, dense pinv.
+    // Base case: the exact pinv of the ≤ base_size multigraph by
+    // grounded Cholesky (`to_dense` sums its parallel edges).
     let t = Instant::now();
-    let simple = cur.simplify();
-    let base_n = simple.num_vertices();
-    let ldense = to_dense(&simple);
-    let base_pinv = ldense.pseudoinverse(1e-12);
+    let base_n = cur.num_vertices();
+    let base_pinv = dense_base_pinv(&to_dense(&cur))?;
     stats.meter.record_timed(
         "base_pinv",
         Cost::new((base_n as u64).pow(3).max(1), (base_n as u64).max(1)),

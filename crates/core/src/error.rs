@@ -95,8 +95,14 @@ pub enum SolverError {
     },
     /// An option value is outside its valid range.
     InvalidOption(String),
-    /// A 5-DD invariant was violated at solve time — indicates a bug
-    /// or a hand-constructed invalid chain.
+    /// An internal invariant was violated, at build or at solve time.
+    /// At build: a backend's dense base Laplacian is not finite or has
+    /// a pivot that is not positive (its summed edge weights overflowed),
+    /// a chain level's 5-DD block has a vertex with no weight into
+    /// `C`, or the chain ran past `max_rounds`. At solve: a solve
+    /// panicked inside the serving tier. Apart from overflowing
+    /// weights, this indicates a bug or a hand-constructed invalid
+    /// chain.
     InvariantViolation(String),
 }
 

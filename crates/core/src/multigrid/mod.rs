@@ -12,8 +12,8 @@
 //!    CSR.
 //! 3. **Repeat** until the matrix fits the dense base
 //!    (`SolverOptions::base_size`, the same knob the chain uses), a
-//!    level cap, or a stall guard trips; the base is a dense
-//!    pseudoinverse exactly like the chain's.
+//!    level cap, or a stall guard trips; the base is solved exactly
+//!    like the chain's, by a dense grounded-Cholesky pseudoinverse.
 //!
 //! One `apply` runs a single symmetric V(2,2)-cycle: two damped-Jacobi
 //! pre-smoothing sweeps (`ω = 2/3`, from a zero initial guess),
@@ -41,7 +41,7 @@
 pub mod aggregate;
 pub mod galerkin;
 
-use crate::backend::Preconditioner;
+use crate::backend::{dense_base_pinv, Preconditioner};
 use crate::error::SolverError;
 use crate::solver::SolverOptions;
 use aggregate::aggregate;
@@ -218,7 +218,7 @@ impl Preconditioner for MultigridBackend {
             a = coarse;
         }
         let base_n = a.dim();
-        let base_pinv = a.to_dense().pseudoinverse(1e-12);
+        let base_pinv = dense_base_pinv(&a.to_dense())?;
         Ok(MultigridBackend { levels, base_pinv, base_n, n, total_nnz })
     }
 

@@ -1,8 +1,10 @@
 //! Cyclic Jacobi eigensolver for dense symmetric matrices.
 //!
-//! Used for the solver's `O(1)`-size base case (the pseudoinverse of
-//! `L_{G(d)}`, at most 100×100 by construction) and as the exact oracle
-//! behind the `≈_ε` Loewner checks in tests and experiments. Cyclic
+//! Used for the small Lanczos tridiagonals, the general symmetric
+//! [`DenseMatrix::pseudoinverse`], and as the exact oracle behind the
+//! `≈_ε` Loewner checks in tests and experiments. The solver's base
+//! case does not use it: both backends invert their base Laplacian by
+//! grounded Cholesky ([`DenseMatrix::laplacian_pinv`]). Cyclic
 //! Jacobi is unconditionally stable for symmetric matrices and
 //! converges quadratically once sweeps start annihilating small
 //! off-diagonals.

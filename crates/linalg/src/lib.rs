@@ -9,9 +9,10 @@
 //!   component implements.
 //! * [`csr`] — compressed sparse row symmetric matrices with parallel
 //!   matvec.
-//! * [`dense`] — dense symmetric matrices, Cholesky, and Laplacian
-//!   pseudoinverses (used for the `O(1)`-size base case `G(d)` and as
-//!   test oracles).
+//! * [`dense`] — dense symmetric matrices, Cholesky, the exact
+//!   grounded-Cholesky Laplacian pseudoinverse (the `O(1)`-size base
+//!   case `G(d)` of both backends) and the eigen pseudoinverse (test
+//!   oracles).
 //! * [`eigen`] — cyclic Jacobi symmetric eigensolver.
 //! * [`cg`] — conjugate gradient and preconditioned CG with `1⊥`
 //!   projection (reference solver, baseline, and the solver's default

@@ -21,6 +21,30 @@ fn arb_sym(n: usize) -> impl Strategy<Value = DenseMatrix> {
     })
 }
 
+/// A random connected weighted Laplacian on 2–12 vertices: a path
+/// through every vertex plus up to `3n` extra edges (self-pairs
+/// dropped, repeats summed), weights spread over four decades.
+fn arb_connected_laplacian() -> impl Strategy<Value = DenseMatrix> {
+    (2usize..13).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(-2.0f64..2.0, n - 1),
+            proptest::collection::vec((0..n, 0..n, -2.0f64..2.0), 0..3 * n),
+        )
+            .prop_map(move |(path, extra)| {
+                let mut l = DenseMatrix::zeros(n);
+                let edges = path.iter().enumerate().map(|(u, &e)| (u, u + 1, e)).chain(extra);
+                for (u, v, e) in edges.filter(|&(u, v, _)| u != v) {
+                    let w = 10f64.powf(e);
+                    l.add(u, u, w);
+                    l.add(v, v, w);
+                    l.add(u, v, -w);
+                    l.add(v, u, -w);
+                }
+                l
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -50,6 +74,20 @@ proptest! {
         prop_assert!(apa.subtract(&m).max_abs() < 1e-6 * m.max_abs().max(1.0));
         let ap = m.matmul(&p);
         prop_assert!(ap.is_symmetric(1e-6));
+    }
+
+    /// The grounded-Cholesky Laplacian pseudoinverse is a Moore–Penrose
+    /// inverse with the all-ones kernel: L L⁺ L = L, L⁺ symmetric and
+    /// L⁺𝟙 = 0.
+    #[test]
+    fn laplacian_pinv_properties(l in arb_connected_laplacian()) {
+        let n = l.dim();
+        let p = l.laplacian_pinv().expect("connected Laplacian");
+        let lpl = l.matmul(&p).matmul(&l);
+        prop_assert!(lpl.subtract(&l).max_abs() < 1e-9 * l.max_abs());
+        prop_assert!(p.is_symmetric(0.0));
+        let p1 = p.apply_vec(&vec![1.0; n]);
+        prop_assert!(p1.iter().all(|x| x.abs() < 1e-12 * p.max_abs().max(1.0)));
     }
 
     /// Cholesky solves reproduce SPD systems (built as AᵀA + I).

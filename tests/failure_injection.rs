@@ -80,11 +80,11 @@ fn degenerate_graphs_still_solve() {
 
 #[test]
 fn extreme_weight_ratios_survive() {
-    // 8 orders of magnitude within one graph. (At κ ≳ 1e12 the
-    // base-case dense pseudoinverse rightly truncates the smallest
-    // eigenvalue into the kernel — f64 runs out; 1e8 is inside the
-    // representable regime and must work.) The 2-norm residual is the
-    // right metric only under PCG, which converges on it directly.
+    // 8 orders of magnitude within one graph. (The base is an exact
+    // grounded-Cholesky pseudoinverse with no eigenvalue cut-off, so
+    // only f64 rounding, about κ·1e-16, limits it; 1e8 leaves ample
+    // room and must work.) The 2-norm residual is the right metric
+    // only under PCG, which converges on it directly.
     let mut edges = Vec::new();
     for i in 0..30u32 {
         let w = 10f64.powi((i as i32 % 9) - 4);
@@ -101,6 +101,24 @@ fn extreme_weight_ratios_survive() {
     let r: f64 = g.edges().iter().map(|e| 1.0 / e.w).sum();
     let drop = out.solution[0] - out.solution[30];
     assert!((drop - r).abs() < 1e-5 * r, "drop {drop} vs R {r}");
+}
+
+#[test]
+fn overflowing_weights_fail_at_build() {
+    // Each weight is finite, but the two parallel edges sum past
+    // f64::MAX, so the dense base Laplacian holds ±∞. The grounded
+    // Cholesky base rejects it: both backends refuse to build rather
+    // than serve a base that can meet no ε.
+    let g = MultiGraph::from_edges(
+        3,
+        vec![Edge::new(0, 1, 1e308), Edge::new(0, 1, 1e308), Edge::new(1, 2, 1.0)],
+    );
+    for backend in [BackendKind::Chain, BackendKind::Multigrid] {
+        let opts = SolverOptions { backend, ..SolverOptions::default() };
+        let err = LaplacianSolver::build(&g, opts).expect_err("overflowed base must not build");
+        assert!(matches!(err, SolverError::InvariantViolation(_)), "{backend:?}: {err}");
+        assert!(err.to_string().contains("grounded Cholesky"), "{err}");
+    }
 }
 
 #[test]
