@@ -66,8 +66,7 @@ pub fn pseudoinverse_diagonal(
         g,
         SolverOptions {
             seed: opts.seed,
-            outer: OuterMethod::Pcg,
-            certify_error: false,
+            outer: OuterMethod::PcgResidual,
             ..SolverOptions::default()
         },
     )?;

@@ -168,8 +168,7 @@ fn bench_deadline_shed_storm(c: &mut Criterion) {
                     &g,
                     SolverOptions {
                         delta: 2.0,
-                        outer: OuterMethod::Richardson,
-                        certify_error: false,
+                        outer: OuterMethod::RichardsonFixed,
                         ..SolverOptions::default()
                     },
                 )

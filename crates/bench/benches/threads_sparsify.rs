@@ -1,5 +1,6 @@
-//! Sparsify-stage bench: the build pipeline with `PARLAP_SPARSIFY`
-//! on vs off, across dense graph families and pool sizes.
+//! Sparsify-stage bench: the build pipeline with
+//! `SolverOptions::sparsify` on vs off, across dense graph families and
+//! pool sizes.
 //!
 //! The stage only pays off where the paper's `m ≫ n·polylog(n)`
 //! regime holds: sampling `q = ⌈4 n ln n / ε²⌉` edges must be cheaper
@@ -24,6 +25,7 @@
 //! (`--quick` shrinks the instances for the CI smoke leg).
 
 use parlap_bench::host;
+use parlap_core::pipeline::SPARSIFY_EPS;
 use parlap_core::solver::{LaplacianSolver, SolverOptions, SparsifyMode};
 use parlap_graph::generators;
 use parlap_graph::multigraph::MultiGraph;
@@ -79,7 +81,7 @@ fn main() {
     let fp = host::fingerprint();
     println!("threads_sparsify — build pipeline with the sparsify stage on vs off");
     println!("{}", fp.summary());
-    println!("eps = {EPS:.0e}, seed = {SEED}, sparsify_eps = 0.6, median of 3");
+    println!("eps = {EPS:.0e}, seed = {SEED}, sparsify eps = {SPARSIFY_EPS}, median of 3");
     println!();
 
     let families: [(&'static str, MultiGraph); 2] = if quick {
@@ -102,7 +104,7 @@ fn main() {
         let opts =
             |mode: SparsifyMode| SolverOptions { seed: SEED, sparsify: mode, ..Default::default() };
         assert!(
-            SparsifyMode::On.engages(n, m, opts(SparsifyMode::On).sparsify_eps),
+            SparsifyMode::On.engages(n, m),
             "{fname}: instance must be dense enough to engage the stage (n = {n}, m = {m})"
         );
         println!("{fname}: n = {n}, m = {m}");

@@ -1,5 +1,6 @@
 //! Error types for the parlap solver.
 
+use parlap_linalg::interrupt::InterruptReason;
 use std::fmt;
 
 /// Partial progress recorded when a solve is interrupted mid-flight.
@@ -14,8 +15,8 @@ pub struct SolveProgress {
     /// Outer iterations completed before the interrupt was honored.
     pub iterations: usize,
     /// Last certified `‖·‖_A` error estimate, when the outer loop
-    /// certifies (`None` under `certify_error: false` and before the
-    /// first certificate is computed).
+    /// certifies (`None` under the uncertified outer loops and before
+    /// the first certificate is computed).
     pub certified_error: Option<f64>,
 }
 
@@ -36,13 +37,14 @@ pub enum SolverError {
         /// Provided length.
         got: usize,
     },
-    /// The Richardson outer iteration diverged — the preconditioner is
-    /// worse than the assumed `δ` (typically an over-aggressive `α`
-    /// split setting). Retry with a larger split factor or PCG.
+    /// An iterative solve failed to converge: Richardson's residual
+    /// kept growing (the preconditioner is worse than the assumed `δ`,
+    /// typically an over-aggressive `α` split setting), or PCG or CG
+    /// ran out of its iteration budget before its stop rule held.
     Diverged {
-        /// Iteration at which divergence was detected.
+        /// Iteration at which the solve gave up.
         at_iteration: usize,
-        /// Residual growth factor observed.
+        /// Relative residual `‖b − Ax‖₂ / ‖b‖₂` at that iteration.
         growth: f64,
     },
     /// The right-hand side is inconsistent: `Lx = b` on a connected
@@ -117,7 +119,7 @@ impl fmt::Display for SolverError {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
             SolverError::Diverged { at_iteration, growth } => {
-                write!(f, "Richardson iteration diverged at iteration {at_iteration} (residual growth {growth:.2}x); increase the split factor or use PCG")
+                write!(f, "iterative solve failed to converge by iteration {at_iteration} (relative residual {growth:.2e}): Richardson diverged or PCG/CG exhausted its iteration budget")
             }
             SolverError::InconsistentRhs { imbalance } => {
                 write!(f, "right-hand side is not orthogonal to the all-ones kernel (relative imbalance {imbalance:.2e}); balance b or disable require_balanced_rhs to solve the projected system")
@@ -155,6 +157,18 @@ impl fmt::Display for SolverError {
 }
 
 impl std::error::Error for SolverError {}
+
+impl SolverError {
+    /// The error an outer loop returns when its interrupt handle trips
+    /// after `progress`.
+    pub(crate) fn interrupted(reason: InterruptReason, progress: SolveProgress) -> Self {
+        let progress = Some(progress);
+        match reason {
+            InterruptReason::Cancelled => SolverError::Cancelled { progress },
+            InterruptReason::DeadlineExceeded => SolverError::DeadlineExceeded { progress },
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -95,19 +95,13 @@ pub fn leverage_overestimates(
 
     // Step 2: JL sketch. rows = rows_per_log · ⌈log₂ n⌉.
     let rows = opts.rows_per_log * ((n.max(2) as f64).log2().ceil() as usize);
-    // `sparsify` pinned Off: this *is* the cheap inner machinery the
-    // pipeline's sparsify stage is built from — letting a process-wide
-    // `PARLAP_SPARSIFY=on` default reach it would recurse
-    // (stage → oracle → solver build → stage → …). Its solves are
-    // loose, so they stop on the cheap relative residual rather than
-    // the certified `‖·‖_L` bound.
+    // Loose solves: they stop on the cheap relative residual rather
+    // than the certified `‖·‖_L` bound.
     let inner = LaplacianSolver::build(
         &gp,
         SolverOptions {
             seed: rng.next_u64(),
-            outer: OuterMethod::Pcg,
-            certify_error: false,
-            sparsify: crate::solver::SparsifyMode::Off,
+            outer: OuterMethod::PcgResidual,
             ..SolverOptions::default()
         },
     )?;

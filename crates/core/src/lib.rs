@@ -32,7 +32,7 @@
 //! * [`sparsify`](mod@sparsify) — Spielman–Srivastava spectral sparsification by
 //!   effective-resistance sampling, deterministically chunked so
 //!   samples are bit-identical for any worker count (the pipeline's
-//!   optional stage, `PARLAP_SPARSIFY`);
+//!   optional stage, [`solver::SolverOptions::sparsify`]);
 //! * [`service`] — the shared-solver serving front-end: one built
 //!   solver behind a `Send + Sync` handle, coalescing concurrent
 //!   per-request solves into batches with bit-identical outputs,

@@ -7,7 +7,8 @@
 //!   [`MultiGraph`] straight from fixed-size parsed-edge chunks;
 //! * **sparsify** (`sparsify_stage`, this module) — when
 //!   [`SolverOptions::sparsify`](crate::solver::SolverOptions::sparsify)
-//!   engages, a Spielman–Srivastava sparsifier `H ≈_ε G` is sampled
+//!   engages, a Spielman–Srivastava sparsifier `H ≈_ε G`
+//!   (`ε =` [`SPARSIFY_EPS`]) is sampled
 //!   ([`crate::sparsify`](mod@crate::sparsify)) and the *backend* is
 //!   built on `H` while the
 //!   outer loop keeps iterating on the original `L_G` — the
@@ -24,7 +25,7 @@
 
 use crate::backend::{build_backend, BackendKind, Preconditioner};
 use crate::error::SolverError;
-use crate::solver::{SolverOptions, SparsifyMode};
+use crate::solver::SolverOptions;
 use crate::sparsify::{sparsify_to_eps, SparsifyOptions};
 use parlap_graph::connectivity::num_components;
 use parlap_graph::laplacian::to_csr;
@@ -32,13 +33,16 @@ use parlap_graph::multigraph::MultiGraph;
 use parlap_linalg::csr::CsrMatrix;
 use parlap_primitives::prng::mix2;
 
+/// Target Loewner accuracy of the sparsify stage's sample: sets the
+/// sample budget `q = ⌈4 n ln n / ε²⌉ ≈ 11 n ln n` (comfortably below
+/// `m` on dense inputs) and widens the outer loop's δ by
+/// `ln((1+ε)/(1−ε)) = ln 4`, a constant factor of outer iterations.
+pub const SPARSIFY_EPS: f64 = 0.6;
+
 /// Summary of an engaged sparsify stage, retained on the built solver
 /// for descriptors, byte accounting, and tests.
 #[derive(Clone, Debug)]
 pub struct SparsifyStage {
-    /// Target Loewner accuracy the sample count was sized for
-    /// (`SolverOptions::sparsify_eps`).
-    pub eps: f64,
     /// Number of i.i.d. edge samples drawn (`⌈4 n ln n / ε²⌉`).
     pub samples: usize,
     /// Edge count of the input graph the stage replaced.
@@ -82,6 +86,12 @@ pub(crate) fn prepare(g: &MultiGraph, options: &SolverOptions) -> Result<Prepare
         }
         _ => {}
     }
+    if !(options.delta.is_finite() && options.delta > 0.0) {
+        return Err(SolverError::InvalidOption(format!(
+            "delta = {} must be finite and > 0",
+            options.delta
+        )));
+    }
     // Stage: sparsify (optional).
     let stage = sparsify_stage(g, options)?;
     // Stage: backend build — on the sparsifier when the stage engaged,
@@ -100,15 +110,8 @@ fn sparsify_stage(
     g: &MultiGraph,
     options: &SolverOptions,
 ) -> Result<Option<SparsifyStage>, SolverError> {
-    if options.sparsify == SparsifyMode::Off {
-        return Ok(None);
-    }
-    let eps = options.sparsify_eps;
-    if !(eps > 0.0 && eps < 1.0) {
-        return Err(SolverError::InvalidOption(format!("sparsify_eps = {eps} must be in (0, 1)")));
-    }
     let (n, m) = (g.num_vertices(), g.num_edges());
-    if !options.sparsify.engages(n, m, eps) {
+    if !options.sparsify.engages(n, m) {
         return Ok(None);
     }
     // Stage-internal knobs: a coarse sketch (2 rows per log n, inner
@@ -125,12 +128,12 @@ fn sparsify_stage(
         },
         oracle_subsample: 8,
     };
-    let s = sparsify_to_eps(g, eps, &sopts)?;
+    let s = sparsify_to_eps(g, SPARSIFY_EPS, &sopts)?;
     // A sample that failed to shrink the edge set, or (tiny-q corner)
     // lost connectivity, would make the backend build slower or fail
     // outright: fall back to the non-sparsified build deterministically.
     if s.graph.num_edges() >= m || num_components(&s.graph) != 1 {
         return Ok(None);
     }
-    Ok(Some(SparsifyStage { eps, samples: s.samples, edges_before: m, graph: s.graph }))
+    Ok(Some(SparsifyStage { samples: s.samples, edges_before: m, graph: s.graph }))
 }

@@ -51,19 +51,13 @@ impl ResistanceOracle {
             return Err(SolverError::InvalidOption("rows_per_log must be ≥ 1".into()));
         }
         let rows_count = opts.rows_per_log * ((n.max(2) as f64).log2().ceil() as usize);
-        // `sparsify` pinned Off: the oracle's inner solver is part of
-        // the pipeline's sparsify stage itself, so a process-wide
-        // `PARLAP_SPARSIFY=on` default must not re-enter the stage
-        // here (unbounded recursion). The sketch needs only loose
-        // solves, so they stop on the cheap relative residual rather
-        // than the certified `‖·‖_L` bound.
+        // The sketch needs only loose solves, so they stop on the cheap
+        // relative residual rather than the certified `‖·‖_L` bound.
         let solver = LaplacianSolver::build(
             g,
             SolverOptions {
                 seed: opts.seed,
-                outer: OuterMethod::Pcg,
-                certify_error: false,
-                sparsify: crate::solver::SparsifyMode::Off,
+                outer: OuterMethod::PcgResidual,
                 ..SolverOptions::default()
             },
         )?;

@@ -1126,8 +1126,7 @@ mod tests {
         let options = SolverOptions {
             seed: 7,
             delta: 2.5,
-            outer: OuterMethod::Richardson,
-            certify_error: false,
+            outer: OuterMethod::RichardsonFixed,
             ..SolverOptions::default()
         };
         let solver = LaplacianSolver::build(&g, options).expect("build");

@@ -18,33 +18,48 @@ use crate::apply::ChainBackend;
 use crate::backend::{BackendKind, BackendOp, Preconditioner};
 use crate::chain::CholeskyChain;
 use crate::error::{SolveProgress, SolverError};
-use crate::pipeline::SparsifyStage;
+use crate::pipeline::{SparsifyStage, SPARSIFY_EPS};
 use crate::richardson::{certified_target, preconditioned_richardson, RichardsonOptions};
 use parlap_graph::multigraph::MultiGraph;
 use parlap_linalg::cg::{cg_solve, pcg_solve_with, PcgStop};
 use parlap_linalg::csr::CsrMatrix;
-use parlap_linalg::interrupt::{InterruptHandle, InterruptReason};
+use parlap_linalg::interrupt::InterruptHandle;
 use parlap_linalg::op::LinOp;
 use parlap_linalg::vector::dot;
 use parlap_primitives::cost::Cost;
 
-/// Outer iteration driving the preconditioner to ε accuracy. Both
-/// read ε in the `‖·‖_L` norm under [`SolverOptions::certify_error`].
+/// The outer loop that drives the preconditioner to accuracy ε: one
+/// variant per stop rule in use. The certified stop
+/// `√(rᵀWr / bᵀWb) ≤ ½e^{−δ}ε` bounds the paper's relative `‖·‖_L`
+/// error by ε whenever `W ≈_δ L⁺`; the value is reported in
+/// [`SolveOutcome::certified_error`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OuterMethod {
-    /// The paper's `PreconRichardson` (Algorithm 5): fixed step
-    /// `2/(e^{−δ} + e^{δ})`, `⌈e^{2δ} log 1/ε⌉` iterations.
-    Richardson,
-    /// Preconditioned conjugate gradient (default): `O(e^δ log 1/ε)`
-    /// iterations on the same preconditioner, which must be symmetric
-    /// (both backends are). More robust than Richardson to a
-    /// low-quality chain, since it needs no step size from δ.
+    /// Preconditioned conjugate gradient stopped on the certificate
+    /// (default): `O(e^δ log 1/ε)` iterations on a symmetric
+    /// preconditioner (both backends are), and no step size to take
+    /// from δ.
     Pcg,
+    /// PCG stopped on the relative residual `‖b − Lx‖₂ ≤ ε‖b‖₂`, with
+    /// no certificate: the cheap stop of the library's loose inner
+    /// solves.
+    PcgResidual,
+    /// The paper's `PreconRichardson` (Algorithm 5) with its
+    /// certificate: step `2/(e^{−δ} + e^{δ})`, and up to
+    /// `6⌈e^{2δ} ln 1/ε⌉ + 10` iterations to meet the certified stop.
+    /// Falls back to [`OuterMethod::Pcg`] when it diverges or misses
+    /// the certificate (chain quality worse than the assumed δ).
+    Richardson,
+    /// Algorithm 5 verbatim: exactly `⌈e^{2δ} ln 1/ε⌉` iterations and
+    /// no certificate. Falls back to [`OuterMethod::PcgResidual`] when
+    /// it diverges.
+    RichardsonFixed,
 }
 
 /// Whether the build pipeline inserts the spectral-sparsification
 /// stage ([`crate::pipeline`]): sample `H ≈_ε G`
-/// ([`crate::sparsify`](mod@crate::sparsify)), build the
+/// ([`crate::sparsify`](mod@crate::sparsify)) at
+/// `ε =` [`SPARSIFY_EPS`], build the
 /// preconditioner backend on `H`,
 /// and keep the outer loop iterating on the original `L_G`. The
 /// preconditioner boundary absorbs the sparsifier's extra spectral
@@ -53,58 +68,23 @@ pub enum OuterMethod {
 /// for a much cheaper build on dense inputs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SparsifyMode {
-    /// Never sparsify (default) — bit-identical to previous releases.
+    /// Never sparsify (default).
     Off,
     /// Sparsify whenever it shrinks the backend's input: engages iff
     /// the Spielman–Srivastava sample budget
     /// `q = ⌈4 n ln n / ε²⌉` is below `m` (a sample that cannot shrink
-    /// the edge set is pure loss, so small/sparse graphs no-op even
-    /// under a process-wide `PARLAP_SPARSIFY=on`).
+    /// the edge set is pure loss, so small/sparse graphs no-op).
     On,
-    /// Sparsify only clearly dense inputs: engages iff `m ≥ 2q`, the
-    /// "m ≫ n·polylog(n)" regime where the stage's win has margin over
-    /// its own preprocessing cost.
-    Auto,
 }
 
 impl SparsifyMode {
-    /// Parse a `PARLAP_SPARSIFY` value. Empty means unset (the `Off`
-    /// default — CI legs pass `""` for "no override"); anything other
-    /// than `off`/`on`/`auto` is rejected so a typo'd deployment
-    /// (`aut0`) fails loudly instead of silently running the wrong
-    /// configuration.
-    pub fn parse_env(value: &str) -> Result<Self, String> {
-        match value {
-            "" => Ok(SparsifyMode::Off),
-            v if v.eq_ignore_ascii_case("off") => Ok(SparsifyMode::Off),
-            v if v.eq_ignore_ascii_case("on") => Ok(SparsifyMode::On),
-            v if v.eq_ignore_ascii_case("auto") => Ok(SparsifyMode::Auto),
-            other => Err(format!(
-                "unrecognized PARLAP_SPARSIFY value {other:?}: expected \"off\", \"on\", or \"auto\""
-            )),
-        }
-    }
-
-    /// Default from the `PARLAP_SPARSIFY` environment variable, read
-    /// once per process via [`SparsifyMode::parse_env`]. Panics with a
-    /// clear message on an unrecognized value.
-    fn default_from_env() -> Self {
-        static CACHE: std::sync::OnceLock<SparsifyMode> = std::sync::OnceLock::new();
-        *CACHE.get_or_init(|| match std::env::var("PARLAP_SPARSIFY") {
-            Ok(v) => Self::parse_env(&v).unwrap_or_else(|e| panic!("{e}")),
-            Err(_) => SparsifyMode::Off,
-        })
-    }
-
-    /// Whether the stage engages for an `n`-vertex, `m`-edge input at
-    /// sparsifier accuracy `eps` — a pure function of the three, so
-    /// the build decision is deterministic and testable.
-    pub fn engages(self, n: usize, m: usize, eps: f64) -> bool {
-        let q = crate::sparsify::sample_budget(n, eps);
+    /// Whether the stage engages for an `n`-vertex, `m`-edge input — a
+    /// pure function of the two, so the build decision is
+    /// deterministic and testable.
+    pub fn engages(self, n: usize, m: usize) -> bool {
         match self {
             SparsifyMode::Off => false,
-            SparsifyMode::On => m > q,
-            SparsifyMode::Auto => m >= 2 * q,
+            SparsifyMode::On => m > crate::sparsify::sample_budget(n, SPARSIFY_EPS),
         }
     }
 }
@@ -124,26 +104,12 @@ pub struct SolverOptions {
     /// Resampling budget for disconnected walk rounds.
     pub connectivity_retries: usize,
     /// Assumed preconditioner quality δ (Theorem 3.10 guarantees
-    /// δ = 1 w.h.p. under Θ(log²n) splitting): sets Richardson's step
-    /// and iteration count, and the certified stop's margin
-    /// `½e^{−δ}` for both outer methods.
+    /// δ = 1 w.h.p. under Θ(log²n) splitting), finite and `> 0`: sets
+    /// Richardson's step and iteration count, and the certified stop's
+    /// margin `½e^{−δ}`.
     pub delta: f64,
-    /// Outer method: [`OuterMethod::Pcg`] by default.
+    /// Outer loop and stop rule: [`OuterMethod::Pcg`] by default.
     pub outer: OuterMethod,
-    /// When Richardson diverges, or ends its budget with its
-    /// certificate above `½e^{−δ}ε` (chain quality worse than the
-    /// assumed `δ`, e.g. an aggressive split setting), retry with PCG
-    /// on the same preconditioner instead of failing. Only Richardson
-    /// reads it.
-    pub fallback_to_pcg: bool,
-    /// Stop once the certified `‖·‖_L` error estimate
-    /// `√(rᵀWr / bᵀWb)` is at most `½e^{−δ}ε`, which bounds the true
-    /// relative error by ε when `W ≈_δ L⁺`; the value is reported in
-    /// [`SolveOutcome::certified_error`]. `false` runs Richardson's
-    /// paper-exact fixed iteration count, or stops PCG on the relative
-    /// residual `‖b − Lx‖₂ ≤ ε‖b‖₂` — the cheap, uncertified stop the
-    /// library's loose inner solves use.
-    pub certify_error: bool,
     /// `Lx = b` on a connected graph is solvable only for `b ⊥ 1`.
     /// By default (`false`) the solver *projects* `b` onto `1⊥` and
     /// solves the consistent part — the standard convention, documented
@@ -161,17 +127,8 @@ pub struct SolverOptions {
     /// parameters are still rejected at build.
     pub backend: BackendKind,
     /// The build pipeline's optional sparsify stage (see
-    /// [`SparsifyMode`]). The default follows the `PARLAP_SPARSIFY`
-    /// env variable, `Off` when unset — so the bit-identity contract
-    /// with previous releases holds unless explicitly opted in.
+    /// [`SparsifyMode`]); `Off` by default.
     pub sparsify: SparsifyMode,
-    /// Target Loewner accuracy of the sparsifier when the stage
-    /// engages; sets the sample budget `q = ⌈4 n ln n / ε²⌉` and the
-    /// widened Richardson δ. The 0.6 default keeps `q ≈ 11 n ln n` —
-    /// comfortably below `m` on dense inputs — while the implied
-    /// preconditioner slack `(1+ε)/(1−ε) = 4` costs only a constant
-    /// factor of outer iterations.
-    pub sparsify_eps: f64,
 }
 
 impl Default for SolverOptions {
@@ -184,12 +141,9 @@ impl Default for SolverOptions {
             connectivity_retries: 3,
             delta: 1.0,
             outer: OuterMethod::Pcg,
-            fallback_to_pcg: true,
-            certify_error: true,
             require_balanced_rhs: false,
             backend: BackendKind::default_from_env(),
-            sparsify: SparsifyMode::default_from_env(),
-            sparsify_eps: 0.6,
+            sparsify: SparsifyMode::Off,
         }
     }
 }
@@ -199,21 +153,23 @@ impl Default for SolverOptions {
 pub struct SolveOutcome {
     /// Mean-zero solution estimate `x̃ ≈ L⁺ b`.
     pub solution: Vec<f64>,
-    /// Outer iterations performed.
+    /// Outer iterations performed; after a fallback, Richardson's
+    /// iterations plus PCG's.
     pub iterations: usize,
     /// Final relative residual `‖b − Lx̃‖₂/‖b‖₂`.
     pub relative_residual: f64,
     /// PRAM cost of the solve (outer iterations × (matvec + W apply)).
     pub cost: Cost,
-    /// True when Richardson diverged and the PCG fallback produced the
-    /// answer (see [`SolverOptions::fallback_to_pcg`]).
+    /// True when Richardson diverged or missed its certificate and its
+    /// PCG fallback (named on each [`OuterMethod`] variant) produced
+    /// the answer.
     pub used_fallback: bool,
     /// The certified relative `‖·‖_L` error estimate `√(rᵀWr / bᵀWb)`
-    /// of the returned solution (see [`SolverOptions::certify_error`]):
-    /// at most `½e^{−δ}ε`, unless Richardson ran out of budget with
-    /// [`SolverOptions::fallback_to_pcg`] off. `None` under
-    /// `certify_error: false` and for a right-hand side that projects
-    /// to zero.
+    /// of the returned solution: at most `½e^{−δ}ε` under
+    /// [`OuterMethod::Pcg`] and [`OuterMethod::Richardson`]. `None`
+    /// under the uncertified [`OuterMethod::PcgResidual`] and
+    /// [`OuterMethod::RichardsonFixed`], and for a right-hand side that
+    /// projects to zero.
     pub certified_error: Option<f64>,
 }
 
@@ -290,7 +246,7 @@ impl LaplacianSolver {
             None => self.backend.descriptor(),
             Some(st) => format!(
                 "sparsify(eps={},m={}\u{2192}{})+{}",
-                st.eps,
+                SPARSIFY_EPS,
                 st.edges_before,
                 st.edges_after(),
                 self.backend.descriptor()
@@ -308,6 +264,7 @@ impl LaplacianSolver {
     /// The preconditioner-quality δ the outer loop should assume: the
     /// configured [`SolverOptions::delta`], widened by
     /// `ln((1+ε)/(1−ε))` when the backend was built on an ε-sparsifier
+    /// (`ε =` [`SPARSIFY_EPS`])
     /// (`e^{-δ'} L_H ≼ L_G ≼ e^{δ'} L_H` needs the extra slack), so
     /// Richardson's step size and the certified stop's margin stay
     /// valid and the solve still meets ε against the original
@@ -315,7 +272,7 @@ impl LaplacianSolver {
     fn effective_delta(&self) -> f64 {
         match &self.sparsify {
             None => self.options.delta,
-            Some(st) => self.options.delta + ((1.0 + st.eps) / (1.0 - st.eps)).ln(),
+            Some(_) => self.options.delta + ((1.0 + SPARSIFY_EPS) / (1.0 - SPARSIFY_EPS)).ln(),
         }
     }
 
@@ -353,13 +310,14 @@ impl LaplacianSolver {
 
     /// Solve `Lx = b` to accuracy `ε`.
     ///
-    /// With [`SolverOptions::certify_error`] (default), either outer
-    /// method delivers the Theorem 1.1 guarantee
-    /// `‖x̃ − L⁺b‖_L ≤ ε‖L⁺b‖_L` whenever the preconditioner meets its
-    /// assumed δ (w.h.p. for the chain), and reports the certificate
-    /// in [`SolveOutcome::certified_error`]. With `certify_error: false`
-    /// Richardson runs its fixed count and PCG reads `ε` as a
-    /// relative-residual tolerance.
+    /// Under the certified outer loops ([`OuterMethod::Pcg`], the
+    /// default, and [`OuterMethod::Richardson`]) the solve delivers the
+    /// Theorem 1.1 guarantee `‖x̃ − L⁺b‖_L ≤ ε‖L⁺b‖_L` whenever the
+    /// preconditioner meets its assumed δ (w.h.p. for the chain), and
+    /// reports the certificate in [`SolveOutcome::certified_error`].
+    /// [`OuterMethod::PcgResidual`] reads `ε` as a relative-residual
+    /// tolerance, and [`OuterMethod::RichardsonFixed`] runs the paper's
+    /// fixed count.
     ///
     /// # Input validation
     ///
@@ -396,61 +354,10 @@ impl LaplacianSolver {
         self.validate_request(b, eps)?;
         let w = self.preconditioner();
         match self.options.outer {
-            OuterMethod::Richardson => {
-                let delta = self.effective_delta();
-                let opts = RichardsonOptions {
-                    delta,
-                    certify_error: self.options.certify_error,
-                    interrupt: interrupt.cloned(),
-                    ..RichardsonOptions::default()
-                };
-                match preconditioned_richardson(&self.csr, &w, b, eps, &opts) {
-                    Ok(out) => {
-                        // If the certified estimate missed its target even
-                        // after the extended budget, the chain quality is
-                        // far below the assumed δ: fall back like a
-                        // divergence.
-                        if self.options.fallback_to_pcg
-                            && out
-                                .certified_error
-                                .is_some_and(|ce| ce > certified_target(delta, eps))
-                        {
-                            let mut fb = self.solve_pcg(&w, b, eps, interrupt)?;
-                            fb.used_fallback = true;
-                            return Ok(fb);
-                        }
-                        let cost = self.solve_cost(out.iterations);
-                        Ok(SolveOutcome {
-                            solution: out.solution,
-                            iterations: out.iterations,
-                            relative_residual: out.relative_residual,
-                            cost,
-                            used_fallback: false,
-                            certified_error: out.certified_error,
-                        })
-                    }
-                    Err(SolverError::Diverged { .. }) if self.options.fallback_to_pcg => {
-                        let mut out = self.solve_pcg(&w, b, eps, interrupt)?;
-                        out.used_fallback = true;
-                        Ok(out)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            OuterMethod::Pcg => self.solve_pcg(&w, b, eps, interrupt),
-        }
-    }
-
-    /// Map a tripped interrupt to the solver-level error with progress.
-    fn interrupt_error(
-        reason: InterruptReason,
-        iterations: usize,
-        certified_error: Option<f64>,
-    ) -> SolverError {
-        let progress = Some(SolveProgress { iterations, certified_error });
-        match reason {
-            InterruptReason::Cancelled => SolverError::Cancelled { progress },
-            InterruptReason::DeadlineExceeded => SolverError::DeadlineExceeded { progress },
+            OuterMethod::Pcg => self.solve_pcg(&w, b, eps, true, interrupt),
+            OuterMethod::PcgResidual => self.solve_pcg(&w, b, eps, false, interrupt),
+            OuterMethod::Richardson => self.solve_richardson(&w, b, eps, true, interrupt),
+            OuterMethod::RichardsonFixed => self.solve_richardson(&w, b, eps, false, interrupt),
         }
     }
 
@@ -519,22 +426,29 @@ impl LaplacianSolver {
             .chain_mut_for_tests()
     }
 
+    /// PCG on `w`, stopped on the certificate `½e^{−δ}ε` when `certify`
+    /// is set and on the relative residual `ε` otherwise.
     fn solve_pcg(
         &self,
         w: &BackendOp<'_>,
         b: &[f64],
         eps: f64,
+        certify: bool,
         interrupt: Option<&InterruptHandle>,
     ) -> Result<SolveOutcome, SolverError> {
         let max_iter = 40 * ((self.n as f64).log2().ceil() as usize + 10);
-        let stop = if self.options.certify_error {
+        let stop = if certify {
             PcgStop::PreconditionedResidual(certified_target(self.effective_delta(), eps))
         } else {
             PcgStop::RelativeResidual(eps)
         };
         let out = pcg_solve_with(&self.csr, w, b, stop, max_iter, interrupt);
         if let Some(reason) = out.interrupted {
-            return Err(Self::interrupt_error(reason, out.iterations, out.preconditioned_residual));
+            let progress = SolveProgress {
+                iterations: out.iterations,
+                certified_error: out.preconditioned_residual,
+            };
+            return Err(SolverError::interrupted(reason, progress));
         }
         if !out.converged {
             return Err(SolverError::Diverged {
@@ -551,6 +465,46 @@ impl LaplacianSolver {
             used_fallback: false,
             certified_error: out.preconditioned_residual,
         })
+    }
+
+    /// Algorithm 5 on `w`, with its certificate when `certify` is set.
+    /// A divergence, or a certificate still above `½e^{−δ}ε` at the end
+    /// of the extended budget (chain quality far below the assumed δ),
+    /// falls back to PCG with the same `certify`; the fallback's
+    /// outcome counts the Richardson iterations spent before it.
+    fn solve_richardson(
+        &self,
+        w: &BackendOp<'_>,
+        b: &[f64],
+        eps: f64,
+        certify: bool,
+        interrupt: Option<&InterruptHandle>,
+    ) -> Result<SolveOutcome, SolverError> {
+        let delta = self.effective_delta();
+        let opts =
+            RichardsonOptions { delta, certify_error: certify, interrupt: interrupt.cloned() };
+        let spent = match preconditioned_richardson(&self.csr, w, b, eps, &opts) {
+            Ok(out) if out.certified_error.is_some_and(|ce| ce > certified_target(delta, eps)) => {
+                out.iterations
+            }
+            Ok(out) => {
+                return Ok(SolveOutcome {
+                    cost: self.solve_cost(out.iterations),
+                    solution: out.solution,
+                    iterations: out.iterations,
+                    relative_residual: out.relative_residual,
+                    used_fallback: false,
+                    certified_error: out.certified_error,
+                });
+            }
+            Err(SolverError::Diverged { at_iteration, .. }) => at_iteration,
+            Err(e) => return Err(e),
+        };
+        let mut out = self.solve_pcg(w, b, eps, certify, interrupt)?;
+        out.iterations += spent;
+        out.cost = self.solve_cost(out.iterations);
+        out.used_fallback = true;
+        Ok(out)
     }
 
     /// Solve several right-hand sides against the same factorization,
@@ -653,6 +607,13 @@ mod tests {
     fn opts(seed: u64) -> SolverOptions {
         SolverOptions { seed, ..SolverOptions::default() }
     }
+
+    const ALL_OUTER: [OuterMethod; 4] = [
+        OuterMethod::Pcg,
+        OuterMethod::PcgResidual,
+        OuterMethod::Richardson,
+        OuterMethod::RichardsonFixed,
+    ];
 
     #[test]
     fn solves_grid_to_epsilon() {
@@ -799,7 +760,7 @@ mod tests {
     #[test]
     fn degenerate_eps_rejected_for_all_outer_methods() {
         let g = generators::path(8);
-        for outer in [OuterMethod::Richardson, OuterMethod::Pcg] {
+        for outer in ALL_OUTER {
             let solver =
                 LaplacianSolver::build(&g, SolverOptions { outer, ..opts(0) }).expect("build");
             let b = pair_demand(8, 0, 7);
@@ -952,10 +913,10 @@ mod tests {
 
     #[test]
     fn paper_exact_mode_runs_fixed_count() {
-        // certify_error = false reproduces Algorithm 5 verbatim: the
+        // RichardsonFixed reproduces Algorithm 5 verbatim: the
         // iteration count equals ⌈e^{2δ} log 1/ε⌉ exactly.
         let g = generators::grid2d(15, 15);
-        let o = SolverOptions { outer: OuterMethod::Richardson, certify_error: false, ..opts(3) };
+        let o = SolverOptions { outer: OuterMethod::RichardsonFixed, ..opts(3) };
         let solver = LaplacianSolver::build(&g, o).expect("build");
         let b = random_demand(225, 1);
         let eps = 1e-6f64;
@@ -1018,7 +979,7 @@ mod tests {
     fn all_outer_methods_honor_interrupt_handle() {
         let g = generators::grid2d(12, 12);
         let b = random_demand(144, 3);
-        for outer in [OuterMethod::Richardson, OuterMethod::Pcg] {
+        for outer in ALL_OUTER {
             let solver =
                 LaplacianSolver::build(&g, SolverOptions { outer, ..opts(2) }).expect("build");
             let h = InterruptHandle::new();
@@ -1071,44 +1032,15 @@ mod tests {
         }
     }
 
-    /// Strict env-knob parsing: typo'd `PARLAP_SPARSIFY` values must
-    /// be rejected, not silently mapped to `Off`.
-    #[test]
-    fn sparsify_env_values_parsed_strictly() {
-        assert_eq!(SparsifyMode::parse_env(""), Ok(SparsifyMode::Off));
-        assert_eq!(SparsifyMode::parse_env("off"), Ok(SparsifyMode::Off));
-        assert_eq!(SparsifyMode::parse_env("ON"), Ok(SparsifyMode::On));
-        assert_eq!(SparsifyMode::parse_env("Auto"), Ok(SparsifyMode::Auto));
-        let err = SparsifyMode::parse_env("aut0").unwrap_err();
-        assert!(err.contains("PARLAP_SPARSIFY") && err.contains("aut0"), "{err}");
-    }
-
-    /// Engagement is a pure function of `(n, m, eps)`: `On` engages
-    /// exactly when the sample budget shrinks the edge set, `Auto`
-    /// only with 2× margin, `Off` never.
+    /// Engagement is a pure function of `(n, m)`: `On` engages exactly
+    /// when the sample budget shrinks the edge set, `Off` never.
     #[test]
     fn sparsify_engagement_thresholds() {
-        let (n, eps) = (500, 0.5);
-        let q = crate::sparsify::sample_budget(n, eps);
-        assert!(!SparsifyMode::Off.engages(n, 100 * q, eps));
-        assert!(!SparsifyMode::On.engages(n, q, eps), "q samples cannot shrink m = q");
-        assert!(SparsifyMode::On.engages(n, q + 1, eps));
-        assert!(!SparsifyMode::Auto.engages(n, 2 * q - 1, eps));
-        assert!(SparsifyMode::Auto.engages(n, 2 * q, eps));
-    }
-
-    /// Invalid `sparsify_eps` is rejected at build when the stage is
-    /// requested (`eps ≥ 1` would make the sample budget meaningless).
-    #[test]
-    fn sparsify_bad_eps_rejected() {
-        let g = generators::path(5);
-        for eps in [0.0, -0.5, 1.0, f64::NAN] {
-            let o = SolverOptions { sparsify: SparsifyMode::On, sparsify_eps: eps, ..opts(0) };
-            assert!(
-                matches!(LaplacianSolver::build(&g, o).unwrap_err(), SolverError::InvalidOption(_)),
-                "sparsify_eps = {eps} must be rejected"
-            );
-        }
+        let n = 500;
+        let q = crate::sparsify::sample_budget(n, SPARSIFY_EPS);
+        assert!(!SparsifyMode::Off.engages(n, 100 * q));
+        assert!(!SparsifyMode::On.engages(n, q), "q samples cannot shrink m = q");
+        assert!(SparsifyMode::On.engages(n, q + 1));
     }
 
     /// The tentpole guarantee: with the stage engaged on a dense
@@ -1119,7 +1051,7 @@ mod tests {
     fn sparsified_solve_meets_eps_on_dense_graph() {
         let g = generators::complete(200); // m = 19900 ≫ q(200, 0.6)
         let o = SolverOptions { sparsify: SparsifyMode::On, ..opts(12) };
-        assert!(o.sparsify.engages(g.num_vertices(), g.num_edges(), o.sparsify_eps));
+        assert!(o.sparsify.engages(g.num_vertices(), g.num_edges()));
         let solver = LaplacianSolver::build(&g, o).expect("build");
         let st = solver.sparsify_stage().expect("stage must engage on K_200");
         assert_eq!(st.edges_before, g.num_edges());
@@ -1138,22 +1070,19 @@ mod tests {
     /// the registry budget stays honest.
     #[test]
     fn sparsify_off_is_default_and_bytes_account_for_stage() {
-        let overridden = |k: &str| std::env::var(k).is_ok_and(|v| !v.is_empty());
         let g = generators::complete(200);
         let b = random_demand(200, 9);
         let off =
             LaplacianSolver::build(&g, SolverOptions { sparsify: SparsifyMode::Off, ..opts(12) })
                 .expect("build");
         assert!(off.sparsify_stage().is_none());
-        if !overridden("PARLAP_SPARSIFY") {
-            let dflt = LaplacianSolver::build(&g, opts(12)).expect("build");
-            assert!(dflt.sparsify_stage().is_none(), "Off must be the unset default");
-            assert_eq!(
-                off.solve(&b, 1e-7).expect("solve").solution,
-                dflt.solve(&b, 1e-7).expect("solve").solution,
-                "explicit Off must not change bits"
-            );
-        }
+        let dflt = LaplacianSolver::build(&g, opts(12)).expect("build");
+        assert!(dflt.sparsify_stage().is_none(), "Off must be the default");
+        assert_eq!(
+            off.solve(&b, 1e-7).expect("solve").solution,
+            dflt.solve(&b, 1e-7).expect("solve").solution,
+            "explicit Off must not change bits"
+        );
         let on =
             LaplacianSolver::build(&g, SolverOptions { sparsify: SparsifyMode::On, ..opts(12) })
                 .expect("build");
@@ -1166,8 +1095,7 @@ mod tests {
 
     /// The stage no-ops (deterministically) on graphs too sparse for
     /// the sample budget to shrink — `On` on a small grid is exactly
-    /// the plain build, so a process-wide `PARLAP_SPARSIFY=on` leaves
-    /// small-graph solves bit-identical.
+    /// the plain build, bit for bit.
     #[test]
     fn sparsify_noop_on_sparse_graph_is_bit_identical() {
         let g = generators::grid2d(16, 16);
@@ -1222,12 +1150,50 @@ mod tests {
         assert!(solver.relative_error(&b, &out.solution) <= 1e-6);
     }
 
-    /// `certify_error: false` keeps PCG's relative-residual stop and
-    /// reports no certificate.
+    /// A Richardson solve that falls back reports the work of both
+    /// loops. On this weighted grid the chain is worse than the assumed
+    /// δ, so Richardson diverges within its first iterations: the
+    /// answer is exactly its fallback's (`Pcg` for `Richardson`,
+    /// `PcgResidual` for `RichardsonFixed`), but the count and the cost
+    /// also include the Richardson iterations spent before it.
+    #[test]
+    fn richardson_fallback_counts_both_loops() {
+        let g = generators::exponential_weights(&generators::grid2d(30, 30), 1e4, 5);
+        let b = random_demand(900, 3);
+        let build = |outer| {
+            let o = SolverOptions { outer, backend: BackendKind::Chain, ..opts(2) };
+            LaplacianSolver::build(&g, o).expect("build")
+        };
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (rich, fallback) in [
+            (OuterMethod::Richardson, OuterMethod::Pcg),
+            (OuterMethod::RichardsonFixed, OuterMethod::PcgResidual),
+        ] {
+            let (rs, ps) = (build(rich), build(fallback));
+            for eps in [1e-4, 1e-6, 1e-8] {
+                let r = rs.solve(&b, eps).expect("solve");
+                let p = ps.solve(&b, eps).expect("solve");
+                assert!(r.used_fallback, "{rich:?}, eps = {eps}: Richardson must fall back here");
+                assert_eq!(bits(&r.solution), bits(&p.solution), "{rich:?}, eps = {eps}");
+                assert_eq!(r.certified_error, p.certified_error, "{rich:?}, eps = {eps}");
+                assert_eq!(r.certified_error.is_some(), rich == OuterMethod::Richardson);
+                assert!(
+                    r.iterations > p.iterations,
+                    "{rich:?}, eps = {eps}: {} iterations vs the fallback's own {}",
+                    r.iterations,
+                    p.iterations
+                );
+                assert_eq!(r.cost, rs.solve_cost(r.iterations));
+            }
+        }
+    }
+
+    /// `PcgResidual` keeps PCG's relative-residual stop and reports no
+    /// certificate.
     #[test]
     fn uncertified_pcg_stops_on_residual() {
         let g = generators::grid2d(20, 20);
-        let o = SolverOptions { certify_error: false, ..opts(2) };
+        let o = SolverOptions { outer: OuterMethod::PcgResidual, ..opts(2) };
         let solver = LaplacianSolver::build(&g, o).expect("build");
         let out = solver.solve(&random_demand(400, 1), 1e-8).expect("solve");
         assert!(out.relative_residual <= 1e-8);

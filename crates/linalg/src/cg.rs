@@ -12,8 +12,8 @@
 //!    [`PcgStop::PreconditionedResidual`] reads the same certificate
 //!    `√(rᵀBr / bᵀBb)` as the paper's Richardson loop, at
 //!    `O(e^δ log 1/ε)` rather than `O(e^{2δ} log 1/ε)` iterations; the
-//!    solver also falls back to PCG when Richardson diverges
-//!    (ARCHITECTURE.md, "The solve pipeline", step 5).
+//!    solver also falls back to PCG when Richardson diverges or misses
+//!    its certificate (ARCHITECTURE.md, "The solve pipeline", step 4).
 //!
 //! Laplacians are singular with kernel `span(1)` on connected graphs,
 //! so right-hand sides and iterates are projected onto `1⊥`.

@@ -55,7 +55,7 @@ fn sparsify_to_eps_identical_across_1_2_8_threads() {
 /// every stage — leverage sketch, chunked alias sampling, backend
 /// build, outer iteration — must still be a pure function of
 /// (graph, options), so solutions stay bit-identical at 1, 2, and 8
-/// workers. This is the CI-gated leg for `PARLAP_SPARSIFY=on`.
+/// workers.
 #[test]
 fn whole_solve_with_sparsify_identical_across_1_2_8_threads() {
     use parlap_core::solver::SparsifyMode;

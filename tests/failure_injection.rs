@@ -9,7 +9,7 @@ use parlap_apps::diffusion::{HeatSolver, Scheme};
 use parlap_apps::electrical::ElectricalSolver;
 use parlap_apps::pagerank::PageRankSolver;
 use parlap_core::sdd::SddMatrix;
-use parlap_core::solver::OuterMethod;
+use parlap_core::solver::{OuterMethod, SparsifyMode};
 use parlap_graph::multigraph::{Edge, MultiGraph};
 
 fn connected_pair() -> MultiGraph {
@@ -54,6 +54,18 @@ fn solver_rejects_bad_options() {
         ..SolverOptions::default()
     };
     assert!(matches!(LaplacianSolver::build(&g, opts), Err(SolverError::InvalidOption(_))));
+    // δ sets the certified stop's margin ½e^{−δ} and Richardson's step:
+    // one that is not finite and positive is rejected at build, on
+    // either backend, before it can loosen a stop or spin a solve.
+    for backend in [BackendKind::Chain, BackendKind::Multigrid] {
+        for delta in [-3.0, 0.0, f64::NAN, f64::INFINITY] {
+            let opts = SolverOptions { delta, backend, ..SolverOptions::default() };
+            assert!(
+                matches!(LaplacianSolver::build(&g, opts), Err(SolverError::InvalidOption(_))),
+                "{backend:?}: delta = {delta} must be rejected"
+            );
+        }
+    }
 }
 
 #[test]
@@ -67,6 +79,15 @@ fn degenerate_graphs_still_solve() {
     // Heavy parallel multi-edges.
     let multi = MultiGraph::from_edges(2, (0..50).map(|_| Edge::new(0, 1, 0.02)).collect());
     let solver = LaplacianSolver::build(&multi, SolverOptions::default()).unwrap();
+    let out = solver.solve(&[1.0, -1.0], 1e-10).unwrap();
+    assert!((out.solution[0] - out.solution[1] - 1.0).abs() < 1e-8);
+
+    // The same multi-edges through the sparsify stage: its sample
+    // budget (16 at n = 2) is below m = 50, so the backend is built on
+    // a one-edge sparsifier while the outer loop runs on all 50 edges.
+    let opts = SolverOptions { sparsify: SparsifyMode::On, ..SolverOptions::default() };
+    let solver = LaplacianSolver::build(&multi, opts).unwrap();
+    assert!(solver.sparsify_stage().is_some(), "the stage must engage at m = 50 > q");
     let out = solver.solve(&[1.0, -1.0], 1e-10).unwrap();
     assert!((out.solution[0] - out.solution[1] - 1.0).abs() < 1e-8);
 

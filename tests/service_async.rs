@@ -25,8 +25,8 @@ fn build_solver(side: usize, seed: u64) -> LaplacianSolver {
     LaplacianSolver::build(&g, SolverOptions { seed, ..SolverOptions::default() }).unwrap()
 }
 
-/// A solver whose solve is deliberately long: Richardson with
-/// `certify_error: false` runs the paper's fixed `⌈e^{2δ} ln(1/ε)⌉`
+/// A solver whose solve is deliberately long:
+/// `OuterMethod::RichardsonFixed` runs the paper's fixed `⌈e^{2δ} ln(1/ε)⌉`
 /// outer iterations, and overestimating `δ` inflates that count — the
 /// work is real, the iteration count is known in advance, and the bits
 /// stay deterministic. The interruption tests below need a solve that
@@ -38,8 +38,7 @@ fn build_slow_solver(side: usize, seed: u64) -> LaplacianSolver {
         SolverOptions {
             seed,
             delta: 2.5,
-            outer: OuterMethod::Richardson,
-            certify_error: false,
+            outer: OuterMethod::RichardsonFixed,
             ..SolverOptions::default()
         },
     )
