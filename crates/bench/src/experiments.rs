@@ -776,7 +776,7 @@ pub fn e19_ablation_jacobi_sweeps(quick: bool) {
         let (lo, hi) = precond_spectrum(&lop, &w, 40, 17);
         t.row(vec![
             c.jacobi_sweeps.to_string(),
-            (c.jacobi_sweeps == paper_sweeps).to_string(),
+            if c.jacobi_sweeps == paper_sweeps { "yes" } else { "no" }.into(),
             f(lo),
             f(hi),
             f(hi.ln().max(-(lo.max(1e-300).ln()))),

@@ -10,6 +10,7 @@
 //! *overestimates* `τ̂(e)` (Section 6), `⌈τ̂(e)/α⌉` copies suffice,
 //! giving `O(m + nKα⁻¹)` multi-edges instead of `O(mα⁻¹)`.
 
+use crate::error::SolverError;
 use parlap_graph::multigraph::{Edge, MultiGraph};
 use parlap_primitives::util::PAR_CUTOFF;
 use rayon::prelude::*;
@@ -37,6 +38,30 @@ pub enum SplitStrategy {
         /// `α⁻¹` to target (e.g. `c·log₂² n`).
         alpha_inv: f64,
     },
+}
+
+impl SplitStrategy {
+    /// Check the parameters: `Fixed(c)` needs `c ≥ 1`, `LogSquared` a
+    /// finite `c > 0`, and `LeverageScore` `k ≥ 1` and a finite
+    /// `alpha_inv ≥ 1`. The build pipeline calls this before any
+    /// backend builds, so a bad split fails the same way under the
+    /// multigrid backend (which ignores the split) as under the chain.
+    pub fn validate(&self) -> Result<(), SolverError> {
+        let bad = match self {
+            SplitStrategy::Fixed(0) => "Fixed split of 0 copies".to_string(),
+            SplitStrategy::LogSquared { c } if !(c.is_finite() && *c > 0.0) => {
+                format!("LogSquared constant c = {c} must be finite and > 0")
+            }
+            SplitStrategy::LeverageScore { k, alpha_inv }
+                if *k == 0 || !(alpha_inv.is_finite() && *alpha_inv >= 1.0) =>
+            {
+                let need = "LeverageScore needs k ≥ 1 and a finite alpha_inv ≥ 1";
+                format!("{need} (k = {k}, alpha_inv = {alpha_inv})")
+            }
+            _ => return Ok(()),
+        };
+        Err(SolverError::InvalidOption(bad))
+    }
 }
 
 impl Default for SplitStrategy {
@@ -105,6 +130,21 @@ mod tests {
     use super::*;
     use parlap_graph::generators;
     use parlap_graph::laplacian::{leverage_scores_dense, to_dense};
+
+    #[test]
+    fn validate_accepts_in_range_parameters() {
+        for ok in [
+            SplitStrategy::None,
+            SplitStrategy::Fixed(1),
+            SplitStrategy::default(),
+            SplitStrategy::LogSquared { c: 0.5 },
+            SplitStrategy::LeverageScore { k: 1, alpha_inv: 1.0 },
+        ] {
+            assert_eq!(ok.validate(), Ok(()), "{ok:?}");
+        }
+        let bad = SplitStrategy::LogSquared { c: f64::INFINITY };
+        assert!(matches!(bad.validate(), Err(SolverError::InvalidOption(_))));
+    }
 
     #[test]
     fn uniform_split_preserves_laplacian() {

@@ -12,100 +12,55 @@
 //!
 //! Backward pass: `x_C = x⁽ᵏ⁺¹⁾`, `x_F = y_F − Z⁽ᵏ⁾ L_FC x_C`.
 //!
+//! The chain is stored in elimination order ([`CholeskyChain::order`]),
+//! where level `k`'s F slice is followed by `G(k+1)`, so both passes
+//! run in place on one vector: `y_F` overwrites `b_F`, `y_C` is added
+//! into the suffix, and `x_F` is added onto `y_F`.
+//!
 //! Theorem 3.10: the resulting linear operator `W` satisfies
 //! `W⁺ ≈₁ L` w.h.p. and applies in `O(m log n log log n)` work and
 //! `O(log m log n log log n)` depth.
 
 use crate::alpha::{copies_for_log_squared, split_uniform, SplitStrategy};
 use crate::backend::Preconditioner;
+use crate::blocks::for_each_row;
 use crate::chain::{block_cholesky, ChainLevel, ChainOptions, CholeskyChain};
 use crate::error::SolverError;
-use crate::jacobi::JacobiOp;
+use crate::jacobi::jacobi_in_place;
 use crate::solver::SolverOptions;
 use parlap_graph::multigraph::MultiGraph;
 use parlap_linalg::op::LinOp;
+use parlap_linalg::vector::project_out_ones;
 use parlap_primitives::cost::Cost;
 use parlap_primitives::util::par_tabulate;
 use std::borrow::Cow;
 
 /// The operator `W ≈ L⁺` implied by a chain: the Algorithm 2
-/// forward/backward substitution as a [`LinOp`]. Cheap to construct
-/// (borrows the chain; the per-level Jacobi operators are built once —
-/// either here, or ahead of time by [`ChainBackend`]).
+/// forward/backward substitution as a [`LinOp`]. Borrows the chain;
+/// construction only checks it.
 pub struct ChainApply<'c> {
     chain: &'c CholeskyChain,
-    jacobis: Cow<'c, [JacobiOp]>,
-}
-
-/// Build the per-level Jacobi operators `Z⁽ᵏ⁾` for a chain. Their
-/// constructors carry the chain invariant checks (positive diagonal,
-/// dimension, odd sweep count), so this panics on a corrupted chain.
-pub fn build_jacobis(chain: &CholeskyChain) -> Vec<JacobiOp> {
-    chain
-        .levels
-        .iter()
-        .map(|level| JacobiOp::new(level.x_diag.clone(), level.ff.clone(), chain.jacobi_sweeps))
-        .collect()
 }
 
 impl<'c> ChainApply<'c> {
-    /// Wrap a chain, building the Jacobi operators (whose constructors
-    /// carry the chain invariant checks).
+    /// Wrap a chain.
+    ///
+    /// # Panics
+    /// Panics if the Jacobi sweep count is even (Lemma 3.5 needs it
+    /// odd), `order` does not cover the `n` vertices, or a level's `X`
+    /// diagonal does not cover its F slice.
     pub fn new(chain: &'c CholeskyChain) -> Self {
-        ChainApply { chain, jacobis: Cow::Owned(build_jacobis(chain)) }
-    }
-
-    /// Wrap a chain with Jacobi operators built ahead of time (the
-    /// [`ChainBackend`] fast path: one construction per build, not one
-    /// per apply).
-    pub fn with_prebuilt(chain: &'c CholeskyChain, jacobis: &'c [JacobiOp]) -> Self {
-        debug_assert_eq!(jacobis.len(), chain.levels.len(), "one Jacobi operator per level");
-        ChainApply { chain, jacobis: Cow::Borrowed(jacobis) }
+        assert!(chain.jacobi_sweeps % 2 == 1, "Jacobi sweep count must be odd (Lemma 3.5)");
+        assert_eq!(chain.order.len(), chain.n, "elimination order length is not n");
+        for (k, level) in chain.levels.iter().enumerate() {
+            assert_eq!(level.x_diag.len(), level.nf(), "level {k}: X diagonal length is not |F|");
+        }
+        ChainApply { chain }
     }
 
     /// The underlying chain.
     pub fn chain(&self) -> &CholeskyChain {
         self.chain
-    }
-
-    /// Parallel gather `out[i] = b[ids[i]]` — a pure element map, so
-    /// schedule-independent (`O(1)` depth, `O(|ids|)` work).
-    fn gather(b: &[f64], ids: &[u32]) -> Vec<f64> {
-        par_tabulate(ids.len(), |i| b[ids[i] as usize])
-    }
-
-    fn forward_level(&self, k: usize, b: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let level: &ChainLevel = &self.chain.levels[k];
-        let b_f = Self::gather(b, &level.f_local);
-        let b_c = Self::gather(b, &level.c_local);
-        // y_F = Z b_F.
-        let y_f = self.jacobis[k].apply_vec(&b_f);
-        // y_C = b_C − L_CF y_F = b_C + Σ_{(c,f,w)} w·y_F[f].
-        let mut coupling = vec![0.0; level.c_local.len()];
-        level.cross.into_c(&y_f, &mut coupling);
-        let y_c: Vec<f64> = par_tabulate(b_c.len(), |j| b_c[j] + coupling[j]);
-        (y_f, y_c)
-    }
-
-    fn backward_level(&self, k: usize, y_f: &[f64], x_c: &[f64]) -> Vec<f64> {
-        let level = &self.chain.levels[k];
-        // t = −L_FC x_C = Σ_{(c,f,w)} w·x_C[c]  per f.
-        let mut t = vec![0.0; level.f_local.len()];
-        level.cross.into_f(x_c, &mut t);
-        // x_F = y_F − Z·L_FC x_C = y_F + Z·t.
-        let zt = self.jacobis[k].apply_vec(&t);
-        // Scatter both sides into the level vector. The two index sets
-        // partition `0..n` with disjoint targets, so the sequential
-        // scatter is a pure permutation copy; writes never race with
-        // the parallel reads above.
-        let mut x = vec![0.0; level.n];
-        for (i, &f) in level.f_local.iter().enumerate() {
-            x[f as usize] = y_f[i] + zt[i];
-        }
-        for (j, &c) in level.c_local.iter().enumerate() {
-            x[c as usize] = x_c[j];
-        }
-        x
     }
 }
 
@@ -115,37 +70,65 @@ impl LinOp for ChainApply<'_> {
     }
 
     fn apply(&self, b: &[f64], out: &mut [f64]) {
-        let d = self.chain.levels.len();
+        let chain = self.chain;
+        let n = chain.n;
         // The triangular factorization U⁻¹ D⁺ U⁻ᵀ is a *generalized*
         // inverse of the singular Laplacian: exact on range(L) but its
         // outputs carry kernel (constant) components. Projecting input
         // and output onto 1⊥ makes the operator agree with the
         // Moore–Penrose L⁺ (exactly, for exact blocks) and keeps its
-        // kernel aligned with span(1).
-        let mut b_cur = b.to_vec();
-        parlap_linalg::vector::project_out_ones(&mut b_cur);
-        // Forward pass, keeping y_F per level for the backward pass.
-        let mut y_fs: Vec<Vec<f64>> = Vec::with_capacity(d);
-        for k in 0..d {
-            let (y_f, y_c) = self.forward_level(k, &b_cur);
-            y_fs.push(y_f);
-            b_cur = y_c;
+        // kernel aligned with span(1). Both projections run in input
+        // order.
+        out.copy_from_slice(b);
+        project_out_ones(out);
+        let mut v = par_tabulate(n, |p| out[chain.order[p] as usize]);
+        // Scratch for the Jacobi solves (`xinvb`, `spare`), the
+        // backward pass's `t` and the base solve's output.
+        let width = chain.levels.iter().map(ChainLevel::nf).max().unwrap_or(0).max(chain.base_n);
+        let (mut xinvb, mut spare, mut t) = (vec![0.0; width], vec![0.0; width], vec![0.0; width]);
+        let mut jacobi = |level: &ChainLevel, z: &mut [f64]| {
+            let (xinvb, spare) = (&mut xinvb[..z.len()], &mut spare[..z.len()]);
+            jacobi_in_place(&level.x_diag, &level.ff, chain.jacobi_sweeps, z, xinvb, spare);
+        };
+        // Level k's vertices are the suffix from n − n_k: its F slice
+        // `f`, then G(k+1) as `c`.
+        for level in &chain.levels {
+            let (f, c) = v[n - level.n..].split_at_mut(level.nf());
+            // y_F = Z b_F, then y_C = b_C − L_CF y_F.
+            jacobi(level, f);
+            level.cross.add_into_c(f, c);
         }
-        // Base solve.
-        debug_assert_eq!(b_cur.len(), self.chain.base_n);
-        let mut x_cur = self.chain.base_pinv.apply_vec(&b_cur);
-        // Backward pass.
-        for k in (0..d).rev() {
-            x_cur = self.backward_level(k, &y_fs[k], &x_cur);
+        let base = &mut v[n - chain.base_n..];
+        chain.base_pinv.apply(base, &mut t[..chain.base_n]);
+        base.copy_from_slice(&t[..chain.base_n]);
+        for level in chain.levels.iter().rev() {
+            let (f, c) = v[n - level.n..].split_at_mut(level.nf());
+            // x_F = y_F + Z t with t = −L_FC x_C.
+            let t = &mut t[..f.len()];
+            level.cross.into_f(c, t);
+            jacobi(level, t);
+            for_each_row(f, |i, x| *x += t[i]);
         }
-        parlap_linalg::vector::project_out_ones(&mut x_cur);
-        out.copy_from_slice(&x_cur);
+        for (&u, &x) in chain.order.iter().zip(&v) {
+            out[u as usize] = x;
+        }
+        project_out_ones(out);
+    }
+}
+
+/// The chain options a solver's options imply.
+pub(crate) fn chain_options(options: &SolverOptions) -> ChainOptions {
+    ChainOptions {
+        seed: options.seed,
+        base_size: options.base_size,
+        sample_fraction: options.sample_fraction,
+        connectivity_retries: options.connectivity_retries,
+        ..ChainOptions::default()
     }
 }
 
 /// The block-Cholesky [`Preconditioner`] backend: α-bounded splitting
-/// (Lemma 3.2/3.3), the factorization chain (Theorem 3.9) and the
-/// prebuilt per-level Jacobi operators.
+/// (Lemma 3.2/3.3) and the factorization chain (Theorem 3.9).
 ///
 /// This is the paper's solver, repackaged behind the backend trait:
 /// building it from a graph + options produces exactly the chain (and
@@ -153,8 +136,6 @@ impl LinOp for ChainApply<'_> {
 #[derive(Debug)]
 pub struct ChainBackend {
     chain: CholeskyChain,
-    /// Built once per backend, borrowed by every apply.
-    jacobis: Vec<JacobiOp>,
     split_copies: usize,
 }
 
@@ -171,17 +152,14 @@ impl ChainBackend {
 
     /// The apply operator as a [`LinOp`] view borrowing this backend.
     pub fn as_linop(&self) -> ChainApply<'_> {
-        ChainApply::with_prebuilt(&self.chain, &self.jacobis)
+        ChainApply::new(&self.chain)
     }
 
     /// Mutable chain access for in-crate failure-injection tests (a
     /// corrupted level makes the apply path panic deterministically,
-    /// which the service's panic-containment tests rely on). The
-    /// prebuilt Jacobi operators are dropped so the corruption is
-    /// observed at the next apply.
+    /// which the service's panic-containment tests rely on).
     #[cfg(test)]
     pub(crate) fn chain_mut_for_tests(&mut self) -> &mut CholeskyChain {
-        self.jacobis.clear();
         &mut self.chain
     }
 }
@@ -192,22 +170,13 @@ impl Preconditioner for ChainBackend {
         if n == 0 {
             return Err(SolverError::EmptyGraph);
         }
+        options.split.validate()?;
         let (multi, copies) = match &options.split {
-            SplitStrategy::None => (g.clone(), 1),
-            SplitStrategy::Fixed(c) => {
-                if *c == 0 {
-                    return Err(SolverError::InvalidOption("Fixed split of 0 copies".into()));
-                }
-                (split_uniform(g, *c), *c)
-            }
+            SplitStrategy::None => (Cow::Borrowed(g), 1),
+            SplitStrategy::Fixed(c) => (Cow::Owned(split_uniform(g, *c)), *c),
             SplitStrategy::LogSquared { c } => {
-                if !(*c > 0.0) {
-                    return Err(SolverError::InvalidOption(
-                        "LogSquared constant must be positive".into(),
-                    ));
-                }
                 let copies = copies_for_log_squared(n, *c);
-                (split_uniform(g, copies), copies)
+                (Cow::Owned(split_uniform(g, copies)), copies)
             }
             SplitStrategy::LeverageScore { k, alpha_inv } => {
                 let opts = crate::leverage::LeverageOptions {
@@ -216,19 +185,12 @@ impl Preconditioner for ChainBackend {
                     seed: options.seed,
                     ..Default::default()
                 };
-                (crate::leverage::leverage_split(g, &opts)?, alpha_inv.ceil() as usize)
+                let split = crate::leverage::leverage_split(g, &opts)?;
+                (Cow::Owned(split), alpha_inv.ceil() as usize)
             }
         };
-        let chain_opts = ChainOptions {
-            seed: options.seed,
-            base_size: options.base_size,
-            sample_fraction: options.sample_fraction,
-            connectivity_retries: options.connectivity_retries,
-            ..ChainOptions::default()
-        };
-        let chain = block_cholesky(&multi, &chain_opts)?;
-        let jacobis = build_jacobis(&chain);
-        Ok(ChainBackend { chain, jacobis, split_copies: copies })
+        let chain = block_cholesky(&multi, &chain_options(options))?;
+        Ok(ChainBackend { chain, split_copies: copies })
     }
 
     fn dim(&self) -> usize {
@@ -236,32 +198,11 @@ impl Preconditioner for ChainBackend {
     }
 
     fn apply(&self, b: &[f64], out: &mut [f64]) {
-        // Rebuild lazily if a test cleared the prebuilt operators to
-        // corrupt the chain (`build_jacobis` re-runs the invariant
-        // checks and panics on the corruption — the intended signal).
-        if self.jacobis.len() != self.chain.levels.len() {
-            let jacobis = build_jacobis(&self.chain);
-            ChainApply::with_prebuilt(&self.chain, &jacobis).apply(b, out);
-            return;
-        }
         self.as_linop().apply(b, out);
     }
 
     fn estimated_bytes(&self) -> usize {
-        // The prebuilt Jacobi operators clone each level's X diagonal
-        // and G[F] Laplacian (its merged arcs), so count them alongside
-        // the chain.
-        const ARC: usize = std::mem::size_of::<(u32, f64)>();
-        let jacobis: usize = self
-            .chain
-            .levels
-            .iter()
-            .map(|l| {
-                let nf = l.f_local.len();
-                2 * nf * 8 + (nf + 1) * 8 + 2 * l.ff.num_edges() * ARC
-            })
-            .sum();
-        std::mem::size_of::<Self>() + self.chain.estimated_bytes() + jacobis
+        std::mem::size_of::<Self>() + self.chain.estimated_bytes()
     }
 
     fn descriptor(&self) -> String {
@@ -291,12 +232,13 @@ impl Preconditioner for ChainBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::Partition;
     use parlap_graph::generators;
     use parlap_graph::laplacian::to_dense;
     use parlap_graph::multigraph::{Edge, MultiGraph};
     use parlap_linalg::approx::{loewner_eps, precond_spectrum};
     use parlap_linalg::dense::DenseMatrix;
-    use parlap_linalg::vector::{norm2, project_out_ones, random_demand, sub};
+    use parlap_linalg::vector::{norm2, random_demand, sub};
 
     fn opts(seed: u64) -> ChainOptions {
         ChainOptions { seed, ..ChainOptions::default() }
@@ -330,48 +272,51 @@ mod tests {
     /// Validate the forward/backward substitution algebra in
     /// isolation: hand-build a one-level chain whose Schur complement
     /// is EXACT (dense oracle) and whose Jacobi operator runs enough
-    /// sweeps to be numerically exact. Then W must equal L⁺ to
+    /// sweeps to be numerically exact, then put it into elimination
+    /// order by the same pass the build uses. W must equal L⁺ to
     /// near machine precision — any discrepancy is an apply bug, not
     /// sampling noise.
     #[test]
     fn exact_chain_reproduces_pseudoinverse() {
         use crate::blocks::{CrossBlock, LocalLap};
-        use crate::chain::{ChainLevel, ChainStats};
+        use crate::chain::{into_elimination_order, ChainStats, Partition};
         use parlap_graph::schur::schur_complement_dense;
-        // Graph where F = {0, 1} is 5-DD *with* an internal edge, so
-        // the Jacobi block is nontrivial.
+        // Graph where F = {1, 3} is 5-DD *with* an internal edge, so
+        // the Jacobi block is nontrivial, and is not a prefix of the
+        // vertex ids, so the elimination order moves vertices.
         let g = MultiGraph::from_edges(
             5,
             vec![
-                Edge::new(0, 1, 0.1), // internal F edge
-                Edge::new(0, 2, 1.0),
-                Edge::new(0, 3, 1.0),
-                Edge::new(1, 3, 1.0),
-                Edge::new(1, 4, 1.0),
-                Edge::new(2, 3, 1.0),
+                Edge::new(1, 3, 0.1), // internal F edge
+                Edge::new(1, 0, 1.0),
+                Edge::new(1, 2, 1.0),
+                Edge::new(3, 2, 1.0),
                 Edge::new(3, 4, 1.0),
+                Edge::new(0, 2, 1.0),
                 Edge::new(2, 4, 1.0),
+                Edge::new(0, 4, 1.0),
             ],
         );
-        let f_local = vec![0u32, 1];
-        let c_local = vec![2u32, 3, 4];
-        // 5-DD holds by hand here: deg(0) = deg(1) = 2.1, internal 0.1,
+        let part = Partition { f: vec![1, 3], c: vec![0, 2, 4] };
+        // 5-DD holds by hand here: deg(1) = deg(3) = 2.1, internal 0.1,
         // and 0.1 <= 2.1 / 5 (a constant fact, so not an assertion).
         let ff = LocalLap::from_edges(2, &[Edge::new(0, 1, 0.1)]);
         let x_diag = vec![2.0, 2.0]; // weight from each F vertex to C
         let crossings = vec![
-            (0u32, 0u32, 1.0), // (c=2, f=0)
-            (1, 0, 1.0),       // (c=3, f=0)
-            (1, 1, 1.0),       // (c=3, f=1)
-            (2, 1, 1.0),       // (c=4, f=1)
+            (0u32, 0u32, 1.0), // (c=0, f=1)
+            (1, 0, 1.0),       // (c=2, f=1)
+            (1, 1, 1.0),       // (c=2, f=3)
+            (2, 1, 1.0),       // (c=4, f=3)
         ];
         let cross = CrossBlock::from_crossings(3, 2, &crossings);
-        let level =
-            ChainLevel { n: 5, f_local, c_local: c_local.clone(), x_diag, ff, cross, m_edges: 8 };
-        // Exact Schur complement as the base case.
-        let sc = schur_complement_dense(&g, &c_local);
+        let mut levels = vec![ChainLevel { n: 5, x_diag, ff, cross, m_edges: 8 }];
+        let order = into_elimination_order(&mut levels, &[part], 3);
+        assert_eq!(order, vec![1, 3, 0, 2, 4]);
+        // Exact Schur complement as the base case, in G(1)'s order.
+        let sc = schur_complement_dense(&g, &[0, 2, 4]);
         let chain = crate::chain::CholeskyChain {
-            levels: vec![level],
+            levels,
+            order,
             base_pinv: sc.pseudoinverse(1e-13),
             base_n: 3,
             n: 5,
@@ -468,8 +413,8 @@ mod tests {
         assert!(norm2(&r1) < 0.9 * norm2(&b), "no contraction: {} vs {}", norm2(&r1), norm2(&b));
     }
 
-    /// The backend's trait apply (prebuilt Jacobi operators) is
-    /// bit-identical to a fresh `ChainApply` over the same chain.
+    /// The backend's trait apply is bit-identical to a fresh
+    /// `ChainApply` over the same chain.
     #[test]
     fn backend_apply_matches_fresh_chain_apply() {
         let g = generators::grid2d(18, 18);
@@ -479,8 +424,106 @@ mod tests {
         let mut via_trait = vec![0.0; 324];
         Preconditioner::apply(&backend, &b, &mut via_trait);
         let fresh = ChainApply::new(backend.chain()).apply_vec(&b);
-        assert_eq!(via_trait, fresh, "prebuilt and fresh Jacobi paths must agree bitwise");
+        assert_eq!(via_trait, fresh, "trait and fresh apply must agree bitwise");
         assert!(backend.descriptor().starts_with("chain("));
         assert!(backend.estimated_bytes() > backend.chain().estimated_bytes());
+    }
+
+    /// The per-level apply that the elimination order replaced, kept
+    /// as the oracle for [`ChainApply`]. Per level it gathers `b_F` and
+    /// `b_C` into their own vectors, runs the two-pass Jacobi
+    /// recurrence, and scatters `x` back into `G(k)` order. It reads a
+    /// chain as `block_cholesky_rounds` leaves it, before the pass into
+    /// elimination order.
+    fn reference_apply(chain: &CholeskyChain, parts: &[Partition], b: &[f64]) -> Vec<f64> {
+        let jacobi = |level: &ChainLevel, b: &[f64]| {
+            let xinvb: Vec<f64> = b.iter().zip(&level.x_diag).map(|(bi, xi)| bi / xi).collect();
+            let mut z = xinvb.clone();
+            let mut yz = vec![0.0; z.len()];
+            for _ in 0..chain.jacobi_sweeps {
+                level.ff.apply(&z, &mut yz);
+                for i in 0..z.len() {
+                    z[i] = xinvb[i] - yz[i] / level.x_diag[i];
+                }
+            }
+            z
+        };
+        let mut b_cur = b.to_vec();
+        project_out_ones(&mut b_cur);
+        let mut y_fs = Vec::new();
+        for (level, part) in chain.levels.iter().zip(parts) {
+            let b_f: Vec<f64> = part.f.iter().map(|&u| b_cur[u as usize]).collect();
+            let y_f = jacobi(level, &b_f);
+            let mut coupling = vec![0.0; part.c.len()];
+            level.cross.grouped_by_c().gather(&y_f, &mut coupling);
+            b_cur = part.c.iter().zip(&coupling).map(|(&u, &s)| b_cur[u as usize] + s).collect();
+            y_fs.push(y_f);
+        }
+        let mut x = chain.base_pinv.apply_vec(&b_cur);
+        for ((level, part), y_f) in chain.levels.iter().zip(parts).zip(&y_fs).rev() {
+            let mut t = vec![0.0; part.f.len()];
+            level.cross.into_f(&x, &mut t);
+            let zt = jacobi(level, &t);
+            let mut up = vec![0.0; level.n];
+            for (i, &u) in part.f.iter().enumerate() {
+                up[u as usize] = y_f[i] + zt[i];
+            }
+            for (j, &u) in part.c.iter().enumerate() {
+                up[u as usize] = x[j];
+            }
+            x = up;
+        }
+        project_out_ones(&mut x);
+        x
+    }
+
+    /// The in-place apply in elimination order gives the per-level
+    /// algebra's bits, at pool sizes 1 and 2: the backend a solver
+    /// builds against [`reference_apply`] on the same rounds.
+    #[test]
+    fn flat_apply_matches_per_level_reference_bitwise() {
+        use crate::backend::BackendKind;
+        use crate::chain::block_cholesky_rounds;
+        use crate::solver::{LaplacianSolver, SparsifyMode};
+        use parlap_primitives::util::with_threads;
+        let options = SolverOptions { seed: 9, backend: BackendKind::Chain, ..Default::default() };
+        let sparsified = SolverOptions { sparsify: SparsifyMode::On, ..options.clone() };
+        let cases = [
+            ("grid", generators::grid2d(100, 100), &options),
+            (
+                "exp-weight grid",
+                generators::exponential_weights(&generators::grid2d(40, 40), 1e4, 5),
+                &options,
+            ),
+            ("gnp", generators::gnp_connected(2000, 0.003, 4), &options),
+            ("pref_attach", generators::preferential_attachment(2000, 3, 6), &options),
+            ("dense gnp, sparsified", generators::gnp_connected(250, 0.8, 3), &sparsified),
+        ];
+        for (name, g, opts) in &cases {
+            let b = random_demand(g.num_vertices(), 11);
+            let apply_at = |threads: usize| {
+                with_threads(threads, || {
+                    let solver = LaplacianSolver::build(g, (*opts).clone()).expect("build");
+                    let mut out = vec![0.0; b.len()];
+                    solver.backend().apply(&b, &mut out);
+                    let stage = solver.sparsify_stage();
+                    assert_eq!(stage.is_some(), opts.sparsify == SparsifyMode::On, "{name}");
+                    let chain_input = stage.map_or(g, |st| &st.graph);
+                    (out, split_uniform(chain_input, 4))
+                })
+            };
+            let (flat1, multi) = apply_at(1);
+            let (flat2, _) = apply_at(2);
+            let (rounds, parts) =
+                block_cholesky_rounds(&multi, &chain_options(opts)).expect("build");
+            assert!(rounds.depth() >= 1, "{name}: need a level");
+            let want = reference_apply(&rounds, &parts, &b);
+            for (threads, got) in [(1, &flat1), (2, &flat2)] {
+                assert!(
+                    got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{name}: flat apply at {threads} threads differs from the per-level reference"
+                );
+            }
+        }
     }
 }

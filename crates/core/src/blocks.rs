@@ -13,6 +13,8 @@
 //! `O(distinct pairs)` work, `O(log)` depth, rows in parallel. Parallel
 //! edges are merged into one arc at build, so a level's apply reads
 //! each `(u, v)` pair once however many multi-edges the sampler drew.
+//! Once the chain is built, `CrossBlock::relabel_c` renames its C side
+//! to the chain's elimination-order positions.
 
 use parlap_graph::multigraph::Edge;
 use parlap_primitives::scan::exclusive_scan;
@@ -97,19 +99,61 @@ impl WeightedCsr {
         self.arcs.len()
     }
 
+    /// Row `s`'s weighted sum `Σ_{(s→t,w)} w · x[t]`.
+    #[inline]
+    fn row_sum(&self, s: usize, x: &[f64]) -> f64 {
+        parlap_primitives::kernels::gather_arcs(self.arcs_at(s), x)
+    }
+
     /// `out[s] = Σ_{(s→t,w)} w · x[t]` (pure weighted gather). Each
     /// row sum is the 8-lane fold of
     /// [`kernels::gather_arcs`](parlap_primitives::kernels::gather_arcs),
     /// a pure function of its row.
     pub fn gather(&self, x: &[f64], out: &mut [f64]) {
-        let kernel = |(s, o): (usize, &mut f64)| {
-            *o = parlap_primitives::kernels::gather_arcs(self.arcs_at(s), x);
-        };
-        if out.len() < PAR_CUTOFF {
-            out.iter_mut().enumerate().for_each(kernel);
-        } else {
-            out.par_iter_mut().enumerate().for_each(kernel);
+        for_each_row(out, |s, o| *o = self.row_sum(s, x));
+    }
+
+    /// `out[s] += Σ_{(s→t,w)} w · x[t]`: the same row sums as
+    /// [`gather`](Self::gather), each added to its output entry.
+    fn gather_add(&self, x: &[f64], out: &mut [f64]) {
+        for_each_row(out, |s, o| *o += self.row_sum(s, x));
+    }
+
+    /// Move row `s` to row `new_of[s]` (a permutation of the sources),
+    /// each row keeping its arcs in order.
+    fn permute_rows(&mut self, new_of: &[u32]) {
+        let n = self.num_sources();
+        debug_assert_eq!(new_of.len(), n);
+        let mut lens = vec![0usize; n];
+        for s in 0..n {
+            lens[new_of[s] as usize] = self.offsets[s + 1] - self.offsets[s];
         }
+        let offsets = exclusive_scan(&lens);
+        let mut arcs = vec![(0u32, 0.0f64); self.arcs.len()];
+        for s in 0..n {
+            let r = new_of[s] as usize;
+            arcs[offsets[r]..offsets[r + 1]].copy_from_slice(self.arcs_at(s));
+        }
+        *self = WeightedCsr { offsets, arcs };
+    }
+
+    /// Rename every arc's target `t` to `new_of[t]`.
+    fn rename_targets(&mut self, new_of: &[u32]) {
+        for arc in &mut self.arcs {
+            arc.0 = new_of[arc.0 as usize];
+        }
+    }
+}
+
+/// Run `kernel(i, &mut out[i])` over every entry: sequentially below
+/// [`PAR_CUTOFF`], row-parallel above. Each entry is written by one
+/// call, so for a kernel that is a pure function of its row the result
+/// does not depend on the pool size.
+pub(crate) fn for_each_row(out: &mut [f64], kernel: impl Fn(usize, &mut f64) + Sync + Send) {
+    if out.len() < PAR_CUTOFF {
+        out.iter_mut().enumerate().for_each(|(i, o)| kernel(i, o));
+    } else {
+        out.par_iter_mut().enumerate().for_each(|(i, o)| kernel(i, o));
     }
 }
 
@@ -163,24 +207,23 @@ impl LocalLap {
         &self.csr
     }
 
+    /// `(Y·x)[i] = D_ii x_i − (A x)_i`, one row of the Laplacian.
+    #[inline]
+    pub(crate) fn row(&self, i: usize, x: &[f64]) -> f64 {
+        self.diag[i] * x[i] - self.csr.row_sum(i, x)
+    }
+
     /// `y = Y·x` where `Y = D - A` of the induced subgraph.
     pub fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.csr.gather(x, y); // y = A x
-        let kernel = |(i, yi): (usize, &mut f64)| {
-            *yi = self.diag[i] * x[i] - *yi;
-        };
-        if y.len() < PAR_CUTOFF {
-            y.iter_mut().enumerate().for_each(kernel);
-        } else {
-            y.par_iter_mut().enumerate().for_each(kernel);
-        }
+        for_each_row(y, |i, yi| *yi = self.row(i, x));
     }
 }
 
 /// The F–C coupling block, stored in both orientations.
 ///
-/// For crossing edges `(c, f, w)` (both in local indices):
-/// `L_CF y = −into_c(y)` and `L_FC x = −into_f(x)`.
+/// For crossing edges `(c, f, w)` (both in local indices), `L_CF y`
+/// is minus what [`add_into_c`](Self::add_into_c) adds, and
+/// `L_FC x = −into_f(x)`.
 #[derive(Clone, Debug)]
 pub struct CrossBlock {
     by_c: WeightedCsr,
@@ -216,15 +259,25 @@ impl CrossBlock {
         &self.by_f
     }
 
-    /// `out[c] = Σ_{(c,f,w)} w · y[f]` — the weighted sum of F-values
-    /// seen from each C vertex (equals `−(L_CF y)[c]`).
-    pub fn into_c(&self, y_f: &[f64], out: &mut [f64]) {
-        self.by_c.gather(y_f, out);
+    /// `out[c] += Σ_{(c,f,w)} w · y[f]` — adds the weighted sum of
+    /// F-values seen from each C vertex (that is, subtracts
+    /// `(L_CF y)[c]`).
+    pub fn add_into_c(&self, y_f: &[f64], out: &mut [f64]) {
+        self.by_c.gather_add(y_f, out);
     }
 
     /// `out[f] = Σ_{(c,f,w)} w · x[c]` (equals `−(L_FC x)[f]`).
     pub fn into_f(&self, x_c: &[f64], out: &mut [f64]) {
         self.by_f.gather(x_c, out);
+    }
+
+    /// Rename C-local id `c` to `new_of[c]` on both sides: the
+    /// C-grouped rows move (row `new_of[c]` holds `c`'s arcs) and the
+    /// F-grouped arcs' targets are renamed. No arc is added, dropped or
+    /// reordered within its row, and no weight changes.
+    pub(crate) fn relabel_c(&mut self, new_of: &[u32]) {
+        self.by_c.permute_rows(new_of);
+        self.by_f.rename_targets(new_of);
     }
 }
 
@@ -290,7 +343,7 @@ mod tests {
             want_f[f as usize] += w * x_c[c as usize];
         }
         let mut out_c = vec![0.0; 2];
-        cb.into_c(&y_f, &mut out_c);
+        cb.add_into_c(&y_f, &mut out_c);
         assert_eq!(out_c, want_c);
         let mut out_f = vec![0.0; 2];
         cb.into_f(&x_c, &mut out_f);
@@ -298,11 +351,52 @@ mod tests {
     }
 
     #[test]
+    fn cross_block_relabel_moves_rows_and_renames_targets() {
+        // C = {0, 1, 2}, F = {0, 1}; relabel C as 0 → 2, 1 → 0, 2 → 1.
+        let raw = [(0, 1, 2.0), (2, 0, 5.0), (0, 0, 4.0), (1, 1, 3.0)];
+        let mut cb = CrossBlock::from_crossings(3, 2, &raw);
+        let before = cb.clone();
+        let new_of = [2u32, 0, 1];
+        cb.relabel_c(&new_of);
+        for c in 0..3 {
+            assert_eq!(
+                cb.grouped_by_c().arcs_at(new_of[c] as usize),
+                before.grouped_by_c().arcs_at(c)
+            );
+        }
+        for f in 0..2 {
+            let renamed: Vec<(u32, f64)> = before
+                .grouped_by_f()
+                .arcs_at(f)
+                .iter()
+                .map(|&(c, w)| (new_of[c as usize], w))
+                .collect();
+            assert_eq!(cb.grouped_by_f().arcs_at(f), renamed.as_slice());
+        }
+        // The operator is the same one read through the renaming.
+        let (y_f, x_c) = ([3.0, -1.0], [1.0, 2.0, -4.0]);
+        let mut x_new = [0.0; 3];
+        for c in 0..3 {
+            x_new[new_of[c] as usize] = x_c[c];
+        }
+        let (mut f_old, mut f_new) = (vec![0.0; 2], vec![0.0; 2]);
+        before.into_f(&x_c, &mut f_old);
+        cb.into_f(&x_new, &mut f_new);
+        assert_eq!(f_old, f_new);
+        let (mut c_old, mut c_new) = (vec![0.5; 3], vec![0.5; 3]);
+        before.add_into_c(&y_f, &mut c_old);
+        cb.add_into_c(&y_f, &mut c_new);
+        for c in 0..3 {
+            assert_eq!(c_new[new_of[c] as usize], c_old[c]);
+        }
+    }
+
+    #[test]
     fn empty_blocks() {
         let cb = CrossBlock::from_crossings(2, 2, &[]);
         let mut out = vec![1.0; 2];
-        cb.into_c(&[0.0, 0.0], &mut out);
-        assert_eq!(out, vec![0.0, 0.0]);
+        cb.add_into_c(&[0.0, 0.0], &mut out);
+        assert_eq!(out, vec![1.0, 1.0], "an empty row adds nothing");
         let lap = LocalLap::from_edges(3, &[]);
         let mut y = vec![9.0; 3];
         lap.apply(&[1.0, 2.0, 3.0], &mut y);

@@ -8,6 +8,12 @@
 //! (default 100, per the paper) vertices remain; the base Laplacian is
 //! pseudo-inverted exactly by a dense grounded Cholesky.
 //!
+//! After the last round one pass puts the chain into elimination order
+//! ([`CholeskyChain::order`]): `F_1`'s vertices first, then `F_2`'s,
+//! …, then `G(d)`'s. Each `G(k)` is then a suffix of that order, so
+//! [`crate::apply::ChainApply`] runs the whole forward/backward
+//! substitution in place on one vector.
+//!
 //! Theorem 3.9 invariants, all checked by tests/experiments:
 //! 1. every `G(k)` has at most `m` multi-edges,
 //! 2. every `F_k` is 5-DD in `G(k-1)`,
@@ -27,6 +33,7 @@ use parlap_graph::multigraph::{Edge, MultiGraph};
 use parlap_linalg::dense::DenseMatrix;
 use parlap_primitives::cost::{Cost, CostMeter};
 use parlap_primitives::prng::{mix2, StreamRng};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Options controlling chain construction.
@@ -61,29 +68,39 @@ impl Default for ChainOptions {
 
 /// One elimination round: the partition of `G(k)` into `F_{k+1} ⊔
 /// C_{k+1}` and the block operators `ApplyCholesky` needs.
+///
+/// In the chain's elimination order ([`CholeskyChain::order`]), `G(k)`
+/// is the suffix of positions from `n₀ − n` on (`n₀` the input's
+/// vertex count). Its first [`nf`](Self::nf) positions are the level's
+/// F slice, `F_{k+1}` in increasing `G(k)` id. The rest are `C_{k+1}`,
+/// which is `G(k+1)` and so the next level's suffix.
 #[derive(Clone, Debug)]
 pub struct ChainLevel {
     /// `|V(G(k))|`.
     pub n: usize,
-    /// `F_{k+1}` in `G(k)`-local ids (sorted).
-    pub f_local: Vec<u32>,
-    /// `C_{k+1}` in `G(k)`-local ids (sorted); also the `new → old`
-    /// vertex map for `G(k+1)`.
-    pub c_local: Vec<u32>,
-    /// Jacobi `X` diagonal over F-local ids: weight from each F vertex
+    /// Jacobi `X` diagonal over the F slice: weight from each F vertex
     /// to `C` (strictly positive for connected graphs).
     pub x_diag: Vec<f64>,
-    /// `Y`: Laplacian of `G(k)[F]` in F-local ids. Its adjacency holds
-    /// one merged arc per distinct F–F pair (the weights of `G(k)`'s
-    /// parallel multi-edges summed); its diagonal sums every
+    /// `Y`: Laplacian of `G(k)[F]` over the F slice. Its adjacency
+    /// holds one merged arc per distinct F–F pair (the weights of
+    /// `G(k)`'s parallel multi-edges summed); its diagonal sums every
     /// multi-edge.
     pub ff: LocalLap,
-    /// Crossing block (C-local, F-local, w): one merged arc per
-    /// distinct `(c, f)` pair in each orientation.
+    /// Crossing block: one merged arc per distinct `(c, f)` pair in
+    /// each orientation. `f` indexes the F slice and `c` the suffix
+    /// after it: the C-grouped row `r` is the suffix's `r`-th position,
+    /// and the F-grouped arcs point at suffix positions.
     pub cross: CrossBlock,
     /// `|E(G(k))|`, counting multi-edges (Theorem 3.9-(1)
     /// bookkeeping), not the fewer merged arcs `ff` and `cross` store.
     pub m_edges: usize,
+}
+
+impl ChainLevel {
+    /// `|F_{k+1}|`, the length of the level's F slice.
+    pub fn nf(&self) -> usize {
+        self.ff.dim()
+    }
 }
 
 /// Statistics and PRAM costs recorded during construction.
@@ -108,9 +125,10 @@ pub struct ChainStats {
     /// incidence and degrees, then `5DDSubset`), `terminal_walks`,
     /// `connectivity` (the check of each sampled Schur complement; it
     /// is outside the paper's cost model, so its cost is zero),
-    /// `level_build` and `base_pinv`. Times are taken once per round
-    /// (per attempt for the walks and their check) and never read by
-    /// the build.
+    /// `level_build` (each round's block data, plus the closing pass
+    /// into elimination order, which is charged zero work) and
+    /// `base_pinv`. Times are taken once per round (per attempt for the
+    /// walks and their check) and never read by the build.
     pub meter: CostMeter,
 }
 
@@ -118,8 +136,12 @@ pub struct ChainStats {
 /// pseudoinverse.
 #[derive(Clone, Debug)]
 pub struct CholeskyChain {
-    /// Per-round partition and block data.
+    /// Per-round partition and block data, in elimination order.
     pub levels: Vec<ChainLevel>,
+    /// The elimination order: `order[p]` is the input vertex at
+    /// position `p`. Level 0's F slice comes first, then level 1's, and
+    /// so on, then the base in `G(d)`'s vertex order.
+    pub order: Vec<u32>,
     /// `L_{G(d)}⁺` (dense; `G(d)` has ≤ `base_size` vertices).
     pub base_pinv: DenseMatrix,
     /// `|V(G(d))|`.
@@ -145,42 +167,39 @@ impl CholeskyChain {
     /// apply reads rather than per multi-edge of `G(k)`.
     pub fn apply_cost(&self) -> Cost {
         use parlap_primitives::cost::log2_ceil;
-        let mut total = Cost::ZERO;
+        // The permutations into and out of elimination order.
+        let mut total = Cost::new(2 * self.n as u64, 2);
         for level in &self.levels {
-            let nf = level.f_local.len() as u64;
-            let nc = level.c_local.len() as u64;
+            let nf = level.nf() as u64;
+            let nc = (level.n - level.nf()) as u64;
             let m_ff = level.ff.num_edges() as u64;
             let m_cf = level.cross.num_crossings() as u64;
             let jacobi = Cost::new(2 * m_ff + 2 * nf, log2_ceil(m_ff.max(nf)) + 2)
                 .repeat(self.jacobi_sweeps as u64 + 1);
-            // Forward: gather + Jacobi + crossing gather; backward:
-            // crossing gather + Jacobi + scatter. Two Jacobi applies
-            // per level per solve.
+            // Forward: Jacobi + crossing gather; backward: crossing
+            // gather + Jacobi. Two Jacobi applies per level per solve.
             let cross = Cost::new(m_cf + nc, log2_ceil(m_cf.max(nc.max(1))) + 1);
-            let level_cost =
-                jacobi.repeat(2).then(cross.repeat(2)).then(Cost::new(2 * (nf + nc), 2));
-            total = total.then(level_cost);
+            total = total.then(jacobi.repeat(2)).then(cross.repeat(2));
         }
         let b = self.base_n as u64;
         total.then(Cost::new(b * b, log2_ceil(b.max(1))))
     }
 
-    /// Estimated resident bytes of the chain: per level the partition
-    /// index vectors, the Jacobi `X` diagonal, the `G[F]` Laplacian
-    /// (merged arcs stored in both directions plus offsets and
-    /// diagonal), and the crossing block (merged arcs, both
-    /// orientations); plus the dense `base_n × base_n` pseudoinverse.
+    /// Estimated resident bytes of the chain: the elimination order;
+    /// per level the Jacobi `X` diagonal, the `G[F]` Laplacian (merged
+    /// arcs stored in both directions plus offsets and diagonal), and
+    /// the crossing block (merged arcs, both orientations); plus the
+    /// dense `base_n × base_n` pseudoinverse.
     /// Counts the dominant arrays only — per-`Vec` headers and
     /// allocator slack are ignored — so this is a budget estimate, not
     /// an exact accounting.
     pub fn estimated_bytes(&self) -> usize {
         // One stored arc is a (u32, f64) pair: 16 bytes with padding.
         const ARC: usize = std::mem::size_of::<(u32, f64)>();
-        let mut total = std::mem::size_of::<Self>();
+        let mut total = std::mem::size_of::<Self>() + self.order.len() * 4;
         for level in &self.levels {
-            let nf = level.f_local.len();
-            let nc = level.c_local.len();
-            total += (nf + nc) * 4; // f_local + c_local (u32)
+            let nf = level.nf();
+            let nc = level.n - nf;
             total += level.x_diag.len() * 8;
             // LocalLap: CSR offsets + merged arcs both ways + diag.
             total += (nf + 1) * 8 + 2 * level.ff.num_edges() * ARC + nf * 8;
@@ -191,12 +210,35 @@ impl CholeskyChain {
     }
 }
 
-/// Build the chain (Algorithm 1).
+/// Build the chain (Algorithm 1), in elimination order.
 ///
 /// The input must be connected; it should already be `α`-bounded (via
 /// [`crate::alpha`]) for the Theorem 3.9 concentration guarantee —
 /// construction itself succeeds regardless.
 pub fn block_cholesky(g: &MultiGraph, opts: &ChainOptions) -> Result<CholeskyChain, SolverError> {
+    let (mut chain, parts) = block_cholesky_rounds(g, opts)?;
+    let t = Instant::now();
+    chain.order = into_elimination_order(&mut chain.levels, &parts, chain.base_n);
+    chain.stats.meter.record_timed("level_build", Cost::ZERO, t.elapsed());
+    Ok(chain)
+}
+
+/// One round's partition of `G(k)`, in `G(k)` ids: `f[i]` is the F
+/// slice's `i`-th vertex, and `c[j]` is C-local vertex `j`, which is
+/// `G(k+1)`'s vertex `j`.
+pub(crate) struct Partition {
+    pub(crate) f: Vec<u32>,
+    pub(crate) c: Vec<u32>,
+}
+
+/// Algorithm 1's rounds and the base pinv, before the pass into
+/// elimination order: each level's crossing block still names C by
+/// C-local id, `order` is empty, and the partitions come back beside
+/// the chain.
+pub(crate) fn block_cholesky_rounds(
+    g: &MultiGraph,
+    opts: &ChainOptions,
+) -> Result<(CholeskyChain, Vec<Partition>), SolverError> {
     let n0 = g.num_vertices();
     if n0 == 0 {
         return Err(SolverError::EmptyGraph);
@@ -214,7 +256,9 @@ pub fn block_cholesky(g: &MultiGraph, opts: &ChainOptions) -> Result<CholeskyCha
 
     let mut stats = ChainStats::default();
     let mut levels: Vec<ChainLevel> = Vec::new();
-    let mut cur = g.clone();
+    let mut parts: Vec<Partition> = Vec::new();
+    // Round 0 reads the caller's graph; later rounds own the sample.
+    let mut cur = Cow::Borrowed(g);
     stats.level_vertices.push(cur.num_vertices());
     stats.level_edges.push(cur.num_edges());
 
@@ -266,8 +310,9 @@ pub fn block_cholesky(g: &MultiGraph, opts: &ChainOptions) -> Result<CholeskyCha
         let level = build_level(&cur, &dd.in_f, &dd.f_set, &out.c_ids, &wdeg)?;
         stats.meter.record_timed("level_build", Cost::new(cur.num_edges() as u64, 12), t.elapsed());
         levels.push(level);
+        parts.push(Partition { f: dd.f_set, c: out.c_ids });
 
-        cur = out.graph;
+        cur = Cow::Owned(out.graph);
         stats.level_vertices.push(cur.num_vertices());
         stats.level_edges.push(cur.num_edges());
         k += 1;
@@ -289,7 +334,45 @@ pub fn block_cholesky(g: &MultiGraph, opts: &ChainOptions) -> Result<CholeskyCha
     let d = levels.len().max(1);
     let jacobi_sweeps = crate::jacobi::sweeps_for(1.0 / (2.0 * d as f64));
 
-    Ok(CholeskyChain { levels, base_pinv, base_n, n: n0, jacobi_sweeps, stats })
+    let chain =
+        CholeskyChain { levels, order: Vec::new(), base_pinv, base_n, n: n0, jacobi_sweeps, stats };
+    Ok((chain, parts))
+}
+
+/// Put the chain into elimination order and return `order` (see
+/// [`CholeskyChain::order`]).
+///
+/// Walks the levels from the base up, tracking `pos`: each vertex's
+/// position within the current `G(k+1)` suffix. Level `k`'s crossing
+/// block gets its C ids renamed to those positions
+/// ([`CrossBlock::relabel_c`]). Then `G(k)`'s positions follow: `F`
+/// first in partition order, then `C` at `nf +` its `G(k+1)` position.
+/// `ff` and `x_diag` are already in F-slice order. `O(Σ n_k + arcs)`
+/// work, no arithmetic on weights.
+pub(crate) fn into_elimination_order(
+    levels: &mut [ChainLevel],
+    parts: &[Partition],
+    base_n: usize,
+) -> Vec<u32> {
+    let mut pos: Vec<u32> = (0..base_n as u32).collect();
+    for (level, part) in levels.iter_mut().zip(parts).rev() {
+        debug_assert_eq!(part.c.len(), pos.len());
+        level.cross.relabel_c(&pos);
+        let nf = part.f.len() as u32;
+        let mut up = vec![0u32; level.n];
+        for (i, &f) in part.f.iter().enumerate() {
+            up[f as usize] = i as u32;
+        }
+        for (&c, &p) in part.c.iter().zip(&pos) {
+            up[c as usize] = nf + p;
+        }
+        pos = up;
+    }
+    let mut order = vec![0u32; pos.len()];
+    for (u, &p) in pos.iter().enumerate() {
+        order[p as usize] = u as u32;
+    }
+    order
 }
 
 /// Split `G(k)`'s edges into the FF / CF / CC blocks and build the
@@ -339,15 +422,7 @@ fn build_level(
         )));
     }
     let cross = CrossBlock::from_crossings(nc, nf, &crossings);
-    Ok(ChainLevel {
-        n,
-        f_local: f_set.to_vec(),
-        c_local: c_ids.to_vec(),
-        x_diag,
-        ff,
-        cross,
-        m_edges: g.num_edges(),
-    })
+    Ok(ChainLevel { n, x_diag, ff, cross, m_edges: g.num_edges() })
 }
 
 #[cfg(test)]
@@ -389,6 +464,7 @@ mod tests {
         assert_eq!(chain.depth(), 0);
         assert_eq!(chain.base_n, 10);
         assert_eq!(chain.n, 10);
+        assert_eq!(chain.order, (0..10).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -409,10 +485,22 @@ mod tests {
     fn levels_partition_vertices_and_are_5dd() {
         let g = generators::gnp_connected(600, 0.01, 7);
         let chain = block_cholesky(&g, &opts(3)).expect("build");
+        // `order` lists every input vertex once, and the F slices then
+        // the base tile it: level k starts at position n − n_k.
+        let mut seen = vec![false; chain.n];
+        for &u in &chain.order {
+            assert!(!std::mem::replace(&mut seen[u as usize], true), "vertex {u} listed twice");
+        }
+        assert!(seen.iter().all(|&s| s), "order misses a vertex");
+        let mut start = 0;
         // Walk the chain re-deriving each level's graph is costly; we
         // check partition sizes and the stored 5-DD data instead.
         for level in &chain.levels {
-            assert_eq!(level.f_local.len() + level.c_local.len(), level.n);
+            assert_eq!(chain.n - level.n, start);
+            assert!(level.nf() > 0 && level.nf() < level.n);
+            assert_eq!(level.x_diag.len(), level.nf());
+            assert_eq!(level.cross.grouped_by_c().num_sources(), level.n - level.nf());
+            start += level.nf();
             // x_diag strictly positive and consistent with 5-DD:
             // internal degree ≤ total/5 ⟺ x ≥ 4/5 · wdeg.
             for (i, &x) in level.x_diag.iter().enumerate() {
@@ -424,6 +512,7 @@ mod tests {
                 );
             }
         }
+        assert_eq!(chain.n - start, chain.base_n);
     }
 
     #[test]
@@ -431,7 +520,7 @@ mod tests {
         let g = generators::grid2d(25, 25);
         let chain = block_cholesky(&g, &opts(5)).expect("build");
         let mut in_f = vec![false; g.num_vertices()];
-        for &f in &chain.levels[0].f_local {
+        for &f in &chain.order[..chain.levels[0].nf()] {
             in_f[f as usize] = true;
         }
         assert!(verify_five_dd(&g, &in_f));

@@ -11,18 +11,18 @@
 //!
 //! Applied via the recurrence `x⁽⁰⁾ = X⁻¹b`,
 //! `x⁽ⁱ⁾ = X⁻¹b − X⁻¹ Y x⁽ⁱ⁻¹⁾` (Algorithm 2's `Jacobi`), giving
-//! `x⁽ˡ⁾ = Z b` after `l` sweeps.
+//! `x⁽ˡ⁾ = Z b` after `l` sweeps. `jacobi_in_place` is the one body:
+//! [`JacobiOp`] wraps it, and the chain's apply runs it on each level's
+//! F slice.
 //!
 //! Every parallel loop here is an element map (entry `i` reads only
-//! `b[i]`, `x_diag[i]`, and the sequential per-row sums inside
-//! `Y.apply`), so the operator is bit-identical for any thread count —
-//! the deterministic-reduction policy of `parlap_primitives::reduce`.
+//! `b[i]`, `x_diag[i]`, and the sequential sum of `Y`'s row `i`), so
+//! the operator is bit-identical for any thread count — the
+//! deterministic-reduction policy of `parlap_primitives::reduce`.
 
-use crate::blocks::LocalLap;
+use crate::blocks::{for_each_row, LocalLap};
 use parlap_linalg::op::LinOp;
 use parlap_primitives::cost::{log2_ceil, Cost};
-use parlap_primitives::util::PAR_CUTOFF;
-use rayon::prelude::*;
 
 /// Smallest odd `l ≥ log₂(3/ε)` (the paper's sweep count).
 pub fn sweeps_for(eps: f64) -> usize {
@@ -32,6 +32,35 @@ pub fn sweeps_for(eps: f64) -> usize {
         l
     } else {
         l + 1
+    }
+}
+
+/// `z ← Z z` for the 5-DD block `M = X + Y`, in place, with `sweeps`
+/// (odd) Jacobi sweeps. `xinvb` and `spare` are scratch of `z`'s
+/// length.
+///
+/// Each sweep is one row pass `next[i] = X⁻¹b[i] − (Y z)[i] / X_ii`
+/// from one buffer into another. The first reads `xinvb`, and later
+/// ones alternate between `spare` and `z`; an odd count lands the last
+/// one in `z`.
+pub(crate) fn jacobi_in_place(
+    x_diag: &[f64],
+    y: &LocalLap,
+    sweeps: usize,
+    z: &mut [f64],
+    xinvb: &mut [f64],
+    spare: &mut [f64],
+) {
+    debug_assert!(sweeps % 2 == 1, "Jacobi sweep count must be odd (Lemma 3.5)");
+    debug_assert!(x_diag.len() == z.len() && xinvb.len() == z.len() && spare.len() == z.len());
+    for_each_row(xinvb, |i, v| *v = z[i] / x_diag[i]);
+    let sweep = |from: &[f64], to: &mut [f64], xinvb: &[f64]| {
+        for_each_row(to, |i, t| *t = xinvb[i] - y.row(i, from) / x_diag[i]);
+    };
+    sweep(xinvb, z, xinvb);
+    for _ in 0..sweeps / 2 {
+        sweep(z, spare, xinvb);
+        sweep(spare, z, xinvb);
     }
 }
 
@@ -82,26 +111,9 @@ impl LinOp for JacobiOp {
 
     fn apply(&self, b: &[f64], z: &mut [f64]) {
         let n = self.x_diag.len();
-        debug_assert_eq!(b.len(), n);
-        // xinvb = X⁻¹ b, reused every sweep.
-        let xinvb: Vec<f64> = if n < PAR_CUTOFF {
-            b.iter().zip(&self.x_diag).map(|(bi, xi)| bi / xi).collect()
-        } else {
-            b.par_iter().zip(self.x_diag.par_iter()).map(|(bi, xi)| bi / xi).collect()
-        };
-        z.copy_from_slice(&xinvb);
-        let mut yx = vec![0.0; n];
-        for _ in 0..self.sweeps {
-            self.y.apply(z, &mut yx);
-            let kernel = |(i, zi): (usize, &mut f64)| {
-                *zi = xinvb[i] - yx[i] / self.x_diag[i];
-            };
-            if n < PAR_CUTOFF {
-                z.iter_mut().enumerate().for_each(kernel);
-            } else {
-                z.par_iter_mut().enumerate().for_each(kernel);
-            }
-        }
+        z.copy_from_slice(b);
+        let (mut xinvb, mut spare) = (vec![0.0; n], vec![0.0; n]);
+        jacobi_in_place(&self.x_diag, &self.y, self.sweeps, z, &mut xinvb, &mut spare);
     }
 }
 

@@ -71,9 +71,12 @@ pub fn leverage_overestimates(
     if comps != 1 {
         return Err(SolverError::Disconnected { components: comps });
     }
-    if opts.k == 0 || !(opts.alpha_inv >= 1.0) || opts.rows_per_log == 0 {
+    if opts.k == 0
+        || !(opts.alpha_inv >= 1.0 && opts.alpha_inv.is_finite())
+        || opts.rows_per_log == 0
+    {
         return Err(SolverError::InvalidOption(
-            "leverage options: need k ≥ 1, alpha_inv ≥ 1, rows_per_log ≥ 1".into(),
+            "leverage options: need k ≥ 1, finite alpha_inv ≥ 1, rows_per_log ≥ 1".into(),
         ));
     }
     let mut rng = StreamRng::new(opts.seed, 0x6c65_7665);
@@ -263,6 +266,9 @@ mod tests {
         let g = generators::path(5);
         let bad = LeverageOptions { k: 0, ..Default::default() };
         assert!(leverage_overestimates(&g, &bad).is_err());
+        // An infinite α⁻¹ would reach `split_by_scores`' assert.
+        let bad = LeverageOptions { alpha_inv: f64::INFINITY, ..Default::default() };
+        assert!(leverage_split(&g, &bad).is_err());
         let mut dg = MultiGraph::new(4);
         dg.add_edge(0, 1, 1.0);
         assert!(matches!(

@@ -77,15 +77,7 @@ pub(crate) fn prepare(g: &MultiGraph, options: &SolverOptions) -> Result<Prepare
     // Split parameters are validated regardless of backend, so a bad
     // configuration fails the same way under the multigrid backend
     // (which ignores the split) as under the chain.
-    match &options.split {
-        crate::alpha::SplitStrategy::Fixed(0) => {
-            return Err(SolverError::InvalidOption("Fixed split of 0 copies".into()));
-        }
-        crate::alpha::SplitStrategy::LogSquared { c } if !(*c > 0.0) => {
-            return Err(SolverError::InvalidOption("LogSquared constant must be positive".into()));
-        }
-        _ => {}
-    }
+    options.split.validate()?;
     if !(options.delta.is_finite() && options.delta > 0.0) {
         return Err(SolverError::InvalidOption(format!(
             "delta = {} must be finite and > 0",

@@ -1072,8 +1072,8 @@ mod tests {
         )
         .expect("build");
         assert!(solver.chain().depth() >= 1, "need a level to corrupt");
-        // Truncate a level's Jacobi diagonal: `JacobiOp::new` asserts
-        // `x_diag.len() == dim`, so every apply now panics
+        // Truncate a level's Jacobi diagonal: `ChainApply::new` asserts
+        // that it covers the level's F slice, so every apply now panics
         // deterministically — a stand-in for any preconditioner bug.
         solver.chain_mut_for_tests().levels[0].x_diag.clear();
         let svc = SolveService::with_threads(solver, 2).expect("service");

@@ -161,10 +161,12 @@ fn block_cholesky_chain_identical_across_threads() {
                 block_cholesky(&g, &ChainOptions { seed: 77, ..ChainOptions::default() }).unwrap();
             let mut fp: Vec<u64> = Vec::new();
             fp.push(chain.depth() as u64);
+            // The elimination order and the F sizes pin every level's
+            // partition.
+            fp.extend(chain.order.iter().map(|&v| v as u64));
             for level in &chain.levels {
                 fp.push(level.n as u64);
-                fp.extend(level.f_local.iter().map(|&v| v as u64));
-                fp.extend(level.c_local.iter().map(|&v| v as u64));
+                fp.push(level.nf() as u64);
                 fp.extend(level.x_diag.iter().map(|x| x.to_bits()));
                 // The merged block arcs, so a parallel level build
                 // cannot let pool size reorder or regroup the merge.

@@ -48,12 +48,31 @@ fn solver_rejects_bad_rhs() {
 
 #[test]
 fn solver_rejects_bad_options() {
+    use parlap_core::alpha::SplitStrategy;
     let g = connected_pair();
-    let opts = SolverOptions {
-        split: parlap_core::alpha::SplitStrategy::Fixed(0),
-        ..SolverOptions::default()
-    };
-    assert!(matches!(LaplacianSolver::build(&g, opts), Err(SolverError::InvalidOption(_))));
+    // A split with a parameter out of range fails the build the same
+    // way on either backend (multigrid ignores the split), before a
+    // non-finite value reaches a copy count or an assert.
+    let bad_splits = [
+        SplitStrategy::Fixed(0),
+        SplitStrategy::LogSquared { c: 0.0 },
+        SplitStrategy::LogSquared { c: -1.0 },
+        SplitStrategy::LogSquared { c: f64::NAN },
+        SplitStrategy::LogSquared { c: f64::INFINITY },
+        SplitStrategy::LeverageScore { k: 0, alpha_inv: 4.0 },
+        SplitStrategy::LeverageScore { k: 8, alpha_inv: 0.5 },
+        SplitStrategy::LeverageScore { k: 8, alpha_inv: f64::NAN },
+        SplitStrategy::LeverageScore { k: 8, alpha_inv: f64::INFINITY },
+    ];
+    for backend in [BackendKind::Chain, BackendKind::Multigrid] {
+        for split in &bad_splits {
+            let opts = SolverOptions { split: split.clone(), backend, ..SolverOptions::default() };
+            assert!(
+                matches!(LaplacianSolver::build(&g, opts), Err(SolverError::InvalidOption(_))),
+                "{backend:?}: {split:?} must be rejected"
+            );
+        }
+    }
     // δ sets the certified stop's margin ½e^{−δ} and Richardson's step:
     // one that is not finite and positive is rejected at build, on
     // either backend, before it can loosen a stop or spin a solve.
