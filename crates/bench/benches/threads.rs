@@ -1,6 +1,6 @@
 //! E12 bench: the same kernels and the same build+solve under real
 //! rayon pools of different sizes — the work-stealing realization of
-//! the paper's depth claim. Five tiers:
+//! the paper's depth claim. Six tiers:
 //!
 //! * `threads_matvec` — the `O(m)`-work Laplacian matvec, the flattest
 //!   and most scalable kernel (pure element map over rows);
@@ -13,13 +13,10 @@
 //! * `threads_inject_storm` — external-submission overhead in
 //!   isolation: several non-worker OS threads concurrently `install`
 //!   trivial jobs, so nearly all time is injector enqueue/dequeue plus
-//!   latch traffic (the tier the `Mutex<VecDeque>` injector →
-//!   lock-free MPMC segment-queue migration targets);
+//!   latch traffic;
 //! * `threads_service_multiclient` — the serving front-end end to
 //!   end: external client threads hammer one `SolveService`, whose
 //!   batches fan out per-request solves over the pool;
-//! * `threads_par_sort` — the parallel merge sort on multigraph-style
-//!   `(u32, u32)` records, stable-by-key, per pool size;
 //! * `threads_build_solve` — the full Theorem 1.1 pipeline.
 //!
 //! Pool sizes sweep 1, 2, 4, … up to `max(4, available_parallelism)`
@@ -33,7 +30,6 @@ use parlap_core::solver::{LaplacianSolver, SolverOptions};
 use parlap_linalg::op::LinOp;
 use parlap_linalg::vector::{dot, random_demand};
 use parlap_primitives::util::with_threads;
-use rayon::prelude::*;
 
 fn thread_counts() -> Vec<usize> {
     let avail = std::thread::available_parallelism().map(|x| x.get()).unwrap_or(2);
@@ -111,9 +107,9 @@ fn bench_join_storm_threads(c: &mut Criterion) {
 
 /// A burst of external submissions: `submitters` non-worker OS
 /// threads each drive `per` trivial jobs through `pool.install`, so
-/// the measured time is dominated by injector enqueue/CAS-dequeue and
-/// latch signaling — the MPMC analogue of `join_storm`. Thread spawn
-/// cost is amortized over the whole burst.
+/// the measured time is dominated by injector enqueue/dequeue and
+/// latch signaling — the external-submission analogue of
+/// `join_storm`. Thread spawn cost is amortized over the whole burst.
 fn inject_storm(pool: &rayon::ThreadPool, submitters: usize, per: usize) -> u64 {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..submitters)
@@ -169,46 +165,6 @@ fn bench_service_multiclient(c: &mut Criterion) {
     group.finish();
 }
 
-/// Multigraph-style incidence records: (vertex, edge index) pairs with
-/// heavy key duplication, sorted stable-by-key. (`MultiGraph::incidence`
-/// itself builds its lists by counting sort; these records are the
-/// merge sort's heavy-duplication probe.)
-fn sort_records(n: usize) -> Vec<(u32, u32)> {
-    let mut state = 0x9e3779b97f4a7c15u64;
-    (0..n as u32)
-        .map(|i| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (((state >> 33) % (n as u64 / 4).max(1)) as u32, i)
-        })
-        .collect()
-}
-
-fn bench_par_sort_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("threads_par_sort");
-    group.sample_size(10);
-    let records = sort_records(1 << 21);
-    for threads in thread_counts() {
-        group.bench_with_input(BenchmarkId::new("records_2m", threads), &threads, |bench, &t| {
-            with_threads(t, || {
-                bench.iter(|| {
-                    let mut v = records.clone();
-                    v.par_sort_by_key(|&(k, _)| k);
-                    black_box(v.len())
-                })
-            })
-        });
-    }
-    // Sequential std baseline for the same input (thread-independent).
-    group.bench_function("records_2m/std_seq", |bench| {
-        bench.iter(|| {
-            let mut v = records.clone();
-            v.sort_by_key(|&(k, _)| k);
-            black_box(v.len())
-        })
-    });
-    group.finish();
-}
-
 fn bench_build_solve_threads(c: &mut Criterion) {
     let mut group = c.benchmark_group("threads_build_solve");
     group.sample_size(10);
@@ -239,7 +195,6 @@ criterion_group!(
     bench_join_storm_threads,
     bench_inject_storm_threads,
     bench_service_multiclient,
-    bench_par_sort_threads,
     bench_build_solve_threads
 );
 criterion_main!(benches);

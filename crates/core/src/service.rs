@@ -983,7 +983,7 @@ mod tests {
     #[test]
     fn ambient_pool_service_works_from_external_threads() {
         // No dedicated pool: the drivers route batch compute through
-        // the global pool's lock-free injector.
+        // the global pool's injector.
         let (svc, n) = grid_service(None);
         let handles: Vec<_> = (0..3)
             .map(|c| {

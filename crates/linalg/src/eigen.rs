@@ -1,13 +1,12 @@
 //! Cyclic Jacobi eigensolver for dense symmetric matrices.
 //!
-//! Used for the small Lanczos tridiagonals, the general symmetric
-//! [`DenseMatrix::pseudoinverse`], and as the exact oracle behind the
-//! `≈_ε` Loewner checks in tests and experiments. The solver's base
-//! case does not use it: both backends invert their base Laplacian by
-//! grounded Cholesky ([`DenseMatrix::laplacian_pinv`]). Cyclic
-//! Jacobi is unconditionally stable for symmetric matrices and
-//! converges quadratically once sweeps start annihilating small
-//! off-diagonals.
+//! Used for the general symmetric [`DenseMatrix::pseudoinverse`] and
+//! as the exact oracle behind the `≈_ε` Loewner checks in tests and
+//! experiments. The solver's base case does not use it: both backends
+//! invert their base Laplacian by grounded Cholesky
+//! ([`DenseMatrix::laplacian_pinv`]). Cyclic Jacobi is unconditionally
+//! stable for symmetric matrices and converges quadratically once
+//! sweeps start annihilating small off-diagonals.
 
 use crate::dense::DenseMatrix;
 

@@ -33,7 +33,6 @@ pub mod csr;
 pub mod dense;
 pub mod eigen;
 pub mod interrupt;
-pub mod lanczos;
 pub mod op;
 pub mod precond;
 pub mod vector;

@@ -5,11 +5,11 @@
 //!
 //! * [`prng`] — deterministic counter-based random streams, so that
 //!   parallel sampling is reproducible independent of thread count.
-//! * [`scan`] — parallel exclusive/inclusive prefix sums (used by the
-//!   edge-list ↔ adjacency conversions of Blelloch–Maggs).
-//! * [`sample`] — Walker/Vose alias tables and prefix samplers, the
-//!   substitute for the Hübschle-Schneider–Sanders parallel weighted
-//!   sampling primitive (Lemma 2.6 of the paper).
+//! * [`scan`] — parallel exclusive prefix sums (used by the edge-list
+//!   ↔ adjacency conversions of Blelloch–Maggs).
+//! * [`sample`] — Walker/Vose alias tables, the substitute for the
+//!   Hübschle-Schneider–Sanders parallel weighted sampling primitive
+//!   (Lemma 2.6 of the paper).
 //! * [`cost`] — work/depth accounting in the CREW PRAM cost model, used
 //!   by the experiment harness to verify the paper's asymptotic claims.
 //! * [`reduce`] — deterministic fixed-chunk tree reductions: the
@@ -17,7 +17,8 @@
 //!   through, bit-identical for any thread count.
 //! * [`kernels`] — the hot-loop kernels: 8-lane chunk folds and CSR
 //!   row products, plain `axpy`-family maps.
-//! * [`util`] — small parallel helpers (parallel fill, reductions).
+//! * [`util`] — small parallel helpers (parallel maps, the sweep-cut
+//!   sort, dedicated pools).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,5 +35,5 @@ pub use cost::{Cost, CostMeter};
 pub use kernels::detected_simd_width;
 pub use prng::{PhiloxStream, StreamRng};
 pub use reduce::{det_dot, det_norm2_sq, det_reduce_f64, det_sum_f64};
-pub use sample::{AliasTable, PrefixSampler};
-pub use scan::{exclusive_scan, inclusive_scan};
+pub use sample::AliasTable;
+pub use scan::exclusive_scan;

@@ -1,4 +1,4 @@
-//! Weighted random sampling: alias tables and prefix samplers.
+//! Weighted random sampling: Walker/Vose alias tables.
 //!
 //! The paper (Lemma 2.6, citing Hübschle-Schneider & Sanders) assumes a
 //! weighted-sampling primitive with `O(n)` work / `O(log n)` depth
@@ -90,59 +90,6 @@ impl AliasTable {
     }
 }
 
-/// Prefix-sum (CDF) sampler: `O(n)` build, `O(log n)` per query via
-/// binary search. Slower per query than [`AliasTable`] but supports
-/// sampling from a *range prefix* and is simpler to validate against.
-#[derive(Clone, Debug)]
-pub struct PrefixSampler {
-    /// cum[i] = sum of weights[..i]; cum[n] = total.
-    cum: Vec<f64>,
-}
-
-impl PrefixSampler {
-    /// Build from nonnegative weights with positive sum.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "prefix sampler over empty weight set");
-        let cum = crate::scan::exclusive_scan_f64(weights);
-        let total = *cum.last().expect("nonempty");
-        assert!(total > 0.0 && total.is_finite(), "weights must sum to a positive finite value");
-        PrefixSampler { cum }
-    }
-
-    /// Number of items.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cum.len() - 1
-    }
-
-    /// True when empty (never: construction forbids it).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total weight.
-    #[inline]
-    pub fn total(&self) -> f64 {
-        *self.cum.last().expect("nonempty")
-    }
-
-    /// Draw an index proportional to weight.
-    #[inline]
-    pub fn sample(&self, rng: &mut StreamRng) -> usize {
-        let x = rng.next_f64() * self.total();
-        self.locate(x)
-    }
-
-    /// Index of the item whose cumulative interval contains `x`.
-    #[inline]
-    fn locate(&self, x: f64) -> usize {
-        // partition_point: first index where cum[i+1] > x.
-        let idx = self.cum[1..].partition_point(|&c| c <= x);
-        idx.min(self.len() - 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,37 +125,23 @@ mod tests {
         assert!(chi2_ok(&hist, &weights, draws), "hist={hist:?}");
     }
 
-    #[test]
-    fn prefix_matches_distribution() {
-        let weights = [0.5, 0.0, 2.5, 1.0];
-        let s = PrefixSampler::new(&weights);
-        let mut rng = StreamRng::new(18, 0);
-        let draws = 200_000;
-        let mut hist = vec![0usize; weights.len()];
-        for _ in 0..draws {
-            hist[s.sample(&mut rng)] += 1;
-        }
-        assert_eq!(hist[1], 0);
-        assert!(chi2_ok(&hist, &weights, draws), "hist={hist:?}");
-    }
-
+    /// The alias table's frequencies agree with the exact probabilities
+    /// `w_i / Σw`, the distribution a prefix-sum (CDF) sampler draws
+    /// from, to within 0.01 per item.
     #[test]
     fn alias_and_prefix_agree_statistically() {
         let weights: Vec<f64> = (1..=50).map(|i| (i as f64).sqrt()).collect();
+        let total: f64 = weights.iter().sum();
         let a = AliasTable::new(&weights);
-        let p = PrefixSampler::new(&weights);
         let draws = 300_000;
         let mut ha = vec![0usize; weights.len()];
-        let mut hp = vec![0usize; weights.len()];
         let mut r1 = StreamRng::new(19, 0);
-        let mut r2 = StreamRng::new(19, 1);
         for _ in 0..draws {
             ha[a.sample(&mut r1)] += 1;
-            hp[p.sample(&mut r2)] += 1;
         }
-        for i in 0..weights.len() {
+        for (i, &w) in weights.iter().enumerate() {
             let pa = ha[i] as f64 / draws as f64;
-            let pp = hp[i] as f64 / draws as f64;
+            let pp = w / total;
             assert!((pa - pp).abs() < 0.01, "item {i}: {pa} vs {pp}");
         }
     }
@@ -216,11 +149,9 @@ mod tests {
     #[test]
     fn singleton() {
         let a = AliasTable::new(&[3.0]);
-        let p = PrefixSampler::new(&[3.0]);
         let mut rng = StreamRng::new(1, 2);
         for _ in 0..10 {
             assert_eq!(a.sample(&mut rng), 0);
-            assert_eq!(p.sample(&mut rng), 0);
         }
     }
 
@@ -253,15 +184,5 @@ mod tests {
         }
         // Dominant item takes essentially everything.
         assert!(hist[2] > 99_000, "hist={hist:?}");
-    }
-
-    #[test]
-    fn prefix_locate_boundaries() {
-        let s = PrefixSampler::new(&[1.0, 1.0, 1.0]);
-        assert_eq!(s.locate(0.0), 0);
-        assert_eq!(s.locate(0.999), 0);
-        assert_eq!(s.locate(1.0), 1);
-        assert_eq!(s.locate(2.5), 2);
-        assert_eq!(s.locate(3.0), 2); // clamp at top
     }
 }

@@ -7,10 +7,10 @@
 //! paper's graph-format conversions (Lemma 2.7, \[BM10\]) are built
 //! from.
 //!
-//! Determinism: the chunk size is a constant, **never** a function of
-//! the thread count, so the grouping of the floating-point partial
-//! sums — and therefore every output bit — is identical under any
-//! `RAYON_NUM_THREADS` (the policy of [`crate::reduce`]).
+//! Determinism: integer sums are exact, so the output is identical
+//! under any `RAYON_NUM_THREADS`; the chunk size is a constant anyway,
+//! **never** a function of the thread count (the policy of
+//! [`crate::reduce`]).
 
 use rayon::prelude::*;
 
@@ -18,7 +18,7 @@ use rayon::prelude::*;
 /// spawning tasks (empirically ~couple of cache lines of u64 work).
 const SEQ_CUTOFF: usize = 1 << 14;
 
-/// Fixed scan chunk size; constant for cross-thread-count determinism.
+/// Fixed scan chunk size, independent of the thread count.
 const SCAN_CHUNK: usize = 1 << 13;
 
 /// Exclusive prefix sum of `values`, returning a vector of length
@@ -70,51 +70,6 @@ pub fn exclusive_scan(values: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Inclusive prefix sum; entry `i` is the sum of `values[..=i]`.
-pub fn inclusive_scan(values: &[usize]) -> Vec<usize> {
-    let mut ex = exclusive_scan(values);
-    ex.remove(0);
-    ex
-}
-
-/// Exclusive scan over `f64` values (used for cumulative weight tables).
-pub fn exclusive_scan_f64(values: &[f64]) -> Vec<f64> {
-    let n = values.len();
-    let mut out = vec![0.0f64; n + 1];
-    if n == 0 {
-        return out;
-    }
-    if n <= SEQ_CUTOFF {
-        let mut acc = 0.0;
-        for (i, &v) in values.iter().enumerate() {
-            out[i] = acc;
-            acc += v;
-        }
-        out[n] = acc;
-        return out;
-    }
-    let chunk = SCAN_CHUNK;
-    let mut totals: Vec<f64> = values.par_chunks(chunk).map(|c| c.iter().sum::<f64>()).collect();
-    let mut acc = 0.0;
-    for t in totals.iter_mut() {
-        let cur = *t;
-        *t = acc;
-        acc += cur;
-    }
-    let grand = acc;
-    out[..n].par_chunks_mut(chunk).zip(values.par_chunks(chunk)).zip(totals.par_iter()).for_each(
-        |((o, v), &seed)| {
-            let mut acc = seed;
-            for (oi, &vi) in o.iter_mut().zip(v.iter()) {
-                *oi = acc;
-                acc += vi;
-            }
-        },
-    );
-    out[n] = grand;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,47 +88,18 @@ mod tests {
     #[test]
     fn empty() {
         assert_eq!(exclusive_scan(&[]), vec![0]);
-        assert_eq!(inclusive_scan(&[]), Vec::<usize>::new());
     }
 
     #[test]
     fn small_matches_reference() {
         let v = [5, 0, 2, 7, 1];
         assert_eq!(exclusive_scan(&v), reference(&v));
-        assert_eq!(inclusive_scan(&v), &reference(&v)[1..]);
     }
 
     #[test]
     fn large_matches_reference() {
         let v: Vec<usize> = (0..100_000).map(|i| (i * 2654435761) % 17).collect();
         assert_eq!(exclusive_scan(&v), reference(&v));
-    }
-
-    #[test]
-    fn f64_scan_matches() {
-        let v: Vec<f64> = (0..50_000).map(|i| (i % 13) as f64 * 0.5).collect();
-        let got = exclusive_scan_f64(&v);
-        let mut acc = 0.0;
-        for (i, &x) in v.iter().enumerate() {
-            assert!((got[i] - acc).abs() < 1e-6);
-            acc += x;
-        }
-        assert!((got[v.len()] - acc).abs() < 1e-6);
-    }
-
-    #[test]
-    fn f64_scan_bit_identical_across_thread_counts() {
-        use crate::util::with_threads;
-        let v: Vec<f64> = (0..100_000).map(|i| ((i % 97) as f64 - 48.0) * 0.31).collect();
-        let bits = |threads: usize| {
-            with_threads(threads, || {
-                exclusive_scan_f64(&v).iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            })
-        };
-        let base = bits(1);
-        for t in [2, 4, 8] {
-            assert_eq!(bits(t), base, "scan bits changed at {t} threads");
-        }
     }
 
     #[test]

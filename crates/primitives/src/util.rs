@@ -18,31 +18,6 @@ where
     }
 }
 
-/// Parallel maximum of an iterator of `u64` values (0 when empty).
-pub fn par_max_u64(values: &[u64]) -> u64 {
-    if values.len() < PAR_CUTOFF {
-        values.iter().copied().max().unwrap_or(0)
-    } else {
-        values.par_iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// Parallel sum of `u64` values.
-pub fn par_sum_u64(values: &[u64]) -> u64 {
-    if values.len() < PAR_CUTOFF {
-        values.iter().sum()
-    } else {
-        values.par_iter().sum()
-    }
-}
-
-/// Parallel sum of `f64` values, via the deterministic fixed-chunk
-/// tree reduction of [`crate::reduce`]: results are bit-identical for
-/// any thread count. Cost: `O(n)` work, `O(log n)` depth.
-pub fn par_sum_f64(values: &[f64]) -> f64 {
-    crate::reduce::det_sum_f64(values)
-}
-
 /// Leaf size for the chunked parallel maps below: big enough that a
 /// task amortizes scheduling, small enough to load-balance.
 const MAP_LEAF: usize = 1 << 12;
@@ -88,16 +63,15 @@ where
     rayon::join(|| par_zip_apply_chunks(ylo, xlo, f), || par_zip_apply_chunks(yhi, xhi, f));
 }
 
-/// Stable parallel sort of ids by a float score, highest first — the
-/// shared sweep-cut ordering (clustering, max-flow). Routed through
-/// the pool's parallel merge sort, which handles its own sequential
-/// cutoff (~4 k elements), so callers need no `PAR_CUTOFF` guard.
+/// Stable sort of ids by a float score, highest first — the shared
+/// sweep-cut ordering (clustering, max-flow). Routed through
+/// `par_sort_by`, which runs std's stable sort.
 ///
 /// NaN scores order deterministically *after* every number (and tie
 /// with each other, so the stable sort keeps their input order). This
 /// keeps the comparator a strict weak order even on NaN inputs — a
-/// requirement, not a nicety: the stable sort is free to pick
-/// different algorithms per machine/pool size precisely because the
+/// requirement, not a nicety: the sort behind `par_sort_by` is free to
+/// change per machine, pool size or toolchain precisely because the
 /// stable permutation under a well-defined order is unique, which a
 /// non-transitive `unwrap_or(Equal)` comparator would break. On
 /// NaN-free scores the ordering is bit-for-bit the old sequential
@@ -144,22 +118,10 @@ mod tests {
     }
 
     #[test]
-    fn reductions() {
-        let v: Vec<u64> = (0..20_000).collect();
-        assert_eq!(par_sum_u64(&v), (0..20_000u64).sum());
-        assert_eq!(par_max_u64(&v), 19_999);
-        assert_eq!(par_max_u64(&[]), 0);
-        let f: Vec<f64> = (0..20_000).map(|i| i as f64).collect();
-        let expect: f64 = (0..20_000).map(|i| i as f64).sum();
-        assert!((par_sum_f64(&f) - expect).abs() / expect < 1e-12);
-    }
-
-    #[test]
     fn sweep_sort_orders_desc_with_nans_last_at_any_pool_size() {
-        // Long enough to cross the sort's sequential cutoff, with NaNs
-        // sprinkled in: the permutation must be identical at 1 and 4
-        // workers (strict-weak-order comparator → unique stable
-        // permutation, whatever algorithm the dispatch picks), with
+        // Long, with NaNs sprinkled in: the permutation must be
+        // identical at 1 and 4 workers (strict-weak-order comparator →
+        // unique stable permutation, whatever algorithm sorts it), with
         // every NaN-scored id after every number-scored one.
         let n = 10_000usize;
         let score: Vec<f64> =

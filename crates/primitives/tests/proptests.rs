@@ -1,8 +1,8 @@
 //! Property-based tests for the parallel primitives.
 
 use parlap_primitives::prng::{sample_distinct, StreamRng};
-use parlap_primitives::sample::{AliasTable, PrefixSampler};
-use parlap_primitives::scan::{exclusive_scan, exclusive_scan_f64, inclusive_scan};
+use parlap_primitives::sample::AliasTable;
+use parlap_primitives::scan::exclusive_scan;
 use proptest::prelude::*;
 
 proptest! {
@@ -19,24 +19,7 @@ proptest! {
         prop_assert_eq!(*got.last().unwrap(), acc);
     }
 
-    /// Inclusive scan is the exclusive scan shifted by one.
-    #[test]
-    fn inclusive_is_shifted_exclusive(values in proptest::collection::vec(0usize..100, 1..500)) {
-        let ex = exclusive_scan(&values);
-        let inc = inclusive_scan(&values);
-        prop_assert_eq!(&ex[1..], &inc[..]);
-    }
-
-    /// Float scan is within rounding of the sequential sum.
-    #[test]
-    fn f64_scan_close(values in proptest::collection::vec(0.0f64..10.0, 0..2000)) {
-        let got = exclusive_scan_f64(&values);
-        let total: f64 = values.iter().sum();
-        prop_assert!((got[values.len()] - total).abs() <= 1e-9 * total.max(1.0));
-    }
-
-    /// Alias tables and prefix samplers only ever emit valid indices
-    /// with nonzero weight.
+    /// Alias tables only ever emit valid indices with nonzero weight.
     #[test]
     fn samplers_respect_support(
         weights in proptest::collection::vec(0.0f64..10.0, 1..200),
@@ -44,13 +27,10 @@ proptest! {
     ) {
         prop_assume!(weights.iter().sum::<f64>() > 0.0);
         let alias = AliasTable::new(&weights);
-        let prefix = PrefixSampler::new(&weights);
         let mut rng = StreamRng::new(seed, 0);
         for _ in 0..64 {
             let a = alias.sample(&mut rng);
             prop_assert!(weights[a] > 0.0, "alias emitted zero-weight item {a}");
-            let p = prefix.sample(&mut rng);
-            prop_assert!(weights[p] > 0.0, "prefix emitted zero-weight item {p}");
         }
     }
 

@@ -222,11 +222,10 @@ fn whole_solve_identical_across_1_2_4_8_threads() {
     }
 }
 
-/// The parallel merge sort must return bit-identical permutations at
-/// every pool size — stable AND unstable variants (the recursion tree
-/// depends only on the length, never on the schedule). This is what
-/// lets the sweep-cut orderings sit on solver-determinism-audited
-/// paths.
+/// The `par_sort_*` entry points must return bit-identical
+/// permutations at every pool size — stable AND unstable variants.
+/// This is what lets the sweep-cut orderings sit on
+/// solver-determinism-audited paths.
 #[test]
 fn par_sorts_identical_across_1_2_4_8_threads() {
     use rayon::prelude::*;
