@@ -73,7 +73,7 @@ pub fn sweep_cut(g: &MultiGraph, score: &[f64]) -> SweepCut {
     let edges = g.edges();
     let total_vol: f64 = 2.0 * g.total_weight();
     let mut order: Vec<u32> = (0..n as u32).collect();
-    parlap_primitives::util::par_sort_desc_by_score(&mut order, |&v| score[v as usize]);
+    parlap_primitives::util::sort_desc_by_score(&mut order, |&v| score[v as usize]);
     let mut side = vec![false; n];
     let mut cut = 0.0f64;
     let mut vol = 0.0f64;

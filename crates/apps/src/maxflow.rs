@@ -479,7 +479,7 @@ fn potential_sweep_cut_from_flows(
     }
     // Sweep: vertices sorted by potential, descending from s's side.
     let mut order: Vec<u32> = (0..n as u32).collect();
-    parlap_primitives::util::par_sort_desc_by_score(&mut order, |&v| phi[v as usize]);
+    parlap_primitives::util::sort_desc_by_score(&mut order, |&v| phi[v as usize]);
     let mut side = vec![false; n];
     let mut best = f64::INFINITY;
     let mut crossing = 0.0f64;

@@ -122,7 +122,6 @@ pub(crate) fn chain_options(options: &SolverOptions) -> ChainOptions {
         seed: options.seed,
         base_size: options.base_size,
         sample_fraction: options.sample_fraction,
-        connectivity_retries: options.connectivity_retries,
         ..ChainOptions::default()
     }
 }

@@ -36,6 +36,13 @@ use parlap_primitives::prng::{mix2, StreamRng};
 use std::borrow::Cow;
 use std::time::Instant;
 
+/// How many times [`block_cholesky`] and
+/// [`crate::schur_approx::approx_schur`] resample a round whose sampled
+/// Schur complement came out disconnected (the rare deviation event of
+/// Theorem 3.9-(5)). The chain counts the retries it takes in
+/// [`ChainStats::connectivity_retries_used`].
+pub const CONNECTIVITY_RETRIES: usize = 3;
+
 /// Options controlling chain construction.
 #[derive(Clone, Debug)]
 pub struct ChainOptions {
@@ -45,11 +52,6 @@ pub struct ChainOptions {
     pub base_size: usize,
     /// `5DDSubset` candidate-set fraction (paper: 1/20).
     pub sample_fraction: f64,
-    /// Resample a round whose sampled Schur complement came out
-    /// disconnected (the rare deviation event of Theorem 3.9-(5));
-    /// retries taken are counted in
-    /// [`ChainStats::connectivity_retries_used`]. 0 disables.
-    pub connectivity_retries: usize,
     /// Hard cap on rounds (safety net; the paper proves `O(log n)`).
     pub max_rounds: usize,
 }
@@ -60,7 +62,6 @@ impl Default for ChainOptions {
             seed: 0x9a9a_1234,
             base_size: 100,
             sample_fraction: SAMPLE_FRACTION,
-            connectivity_retries: 3,
             max_rounds: 10_000,
         }
     }
@@ -294,7 +295,7 @@ pub(crate) fn block_cholesky_rounds(
             let t = Instant::now();
             let connected = num_components(&out.graph) == 1;
             stats.meter.record_timed("connectivity", Cost::ZERO, t.elapsed());
-            if connected || attempt >= opts.connectivity_retries {
+            if connected || attempt >= CONNECTIVITY_RETRIES {
                 if attempt > 0 {
                     stats.connectivity_retries_used += attempt;
                 }

@@ -72,61 +72,6 @@ impl Default for RegistryConfig {
     }
 }
 
-impl RegistryConfig {
-    /// A config whose memory budget is `fraction` of what the system
-    /// will actually let this process allocate: the cgroup-v2 memory
-    /// limit (`/sys/fs/cgroup/memory.max` — the number that matters in
-    /// a container, where `/proc/meminfo` shows the host's RAM and
-    /// trusting it gets the process OOM-killed), falling back to
-    /// `MemTotal` from `/proc/meminfo` when the cgroup limit is absent
-    /// or `max` (unlimited), and to the 1 GiB default when neither
-    /// source is readable. `fraction` is clamped to `(0, 1]`; the
-    /// result is floored at 64 MiB so a tiny container still caches
-    /// one small solver instead of thrashing rebuilds.
-    pub fn budget_from_system(fraction: f64) -> Self {
-        let detected = read_cgroup_v2_limit(std::path::Path::new("/sys/fs/cgroup/memory.max"))
-            .or_else(|| read_meminfo_total(std::path::Path::new("/proc/meminfo")));
-        RegistryConfig {
-            memory_budget_bytes: scale_budget(detected, fraction),
-            ..RegistryConfig::default()
-        }
-    }
-}
-
-/// The cgroup-v2 memory limit in bytes: the file holds either a byte
-/// count or the literal `max` (no limit — fall through to meminfo).
-fn read_cgroup_v2_limit(path: &std::path::Path) -> Option<usize> {
-    parse_cgroup_v2_limit(&std::fs::read_to_string(path).ok()?)
-}
-
-fn parse_cgroup_v2_limit(contents: &str) -> Option<usize> {
-    let v = contents.trim();
-    if v == "max" {
-        return None;
-    }
-    v.parse::<usize>().ok()
-}
-
-/// `MemTotal` from `/proc/meminfo` (reported in kB), in bytes.
-fn read_meminfo_total(path: &std::path::Path) -> Option<usize> {
-    parse_meminfo_total(&std::fs::read_to_string(path).ok()?)
-}
-
-fn parse_meminfo_total(contents: &str) -> Option<usize> {
-    let line = contents.lines().find(|l| l.starts_with("MemTotal:"))?;
-    let kb: usize = line.split_whitespace().nth(1)?.parse().ok()?;
-    kb.checked_mul(1024)
-}
-
-/// Apply the fraction knob to a detected total (or the 1 GiB default
-/// when detection failed), with the 64 MiB floor.
-fn scale_budget(detected: Option<usize>, fraction: f64) -> usize {
-    const FLOOR: usize = 64 << 20;
-    let fraction = if fraction.is_finite() { fraction.clamp(f64::MIN_POSITIVE, 1.0) } else { 1.0 };
-    let total = detected.unwrap_or(1 << 30);
-    (((total as f64) * fraction) as usize).max(FLOOR)
-}
-
 /// Snapshot of a registry's lifetime counters.
 #[derive(Clone, Copy, Debug)]
 pub struct RegistryStats {
@@ -584,47 +529,5 @@ mod tests {
         // answers; only the registry's handle is gone.
         assert!(ticket.wait().expect("serve").relative_residual.is_finite());
         assert!(service.solve(&random_demand(144, 4), 1e-6).is_ok());
-    }
-
-    #[test]
-    fn cgroup_limit_parsing() {
-        assert_eq!(parse_cgroup_v2_limit("4294967296\n"), Some(4 << 30));
-        assert_eq!(parse_cgroup_v2_limit("max\n"), None, "'max' means unlimited — fall back");
-        assert_eq!(parse_cgroup_v2_limit("garbage"), None);
-    }
-
-    #[test]
-    fn meminfo_parsing() {
-        let meminfo = "MemTotal:       16384256 kB\nMemFree:         1234 kB\n";
-        assert_eq!(parse_meminfo_total(meminfo), Some(16_384_256 * 1024));
-        assert_eq!(parse_meminfo_total("MemFree: 5 kB\n"), None);
-        assert_eq!(parse_meminfo_total(""), None);
-    }
-
-    #[test]
-    fn budget_scaling_clamps_and_floors() {
-        let gib = 1usize << 30;
-        assert_eq!(scale_budget(Some(8 * gib), 0.5), 4 * gib);
-        // Out-of-range fractions clamp instead of producing a zero or
-        // over-committed budget.
-        assert_eq!(scale_budget(Some(8 * gib), 7.0), 8 * gib);
-        assert_eq!(scale_budget(Some(8 * gib), f64::NAN), 8 * gib);
-        assert_eq!(scale_budget(Some(8 * gib), -1.0), 64 << 20, "floored at 64 MiB");
-        // Detection failure falls back to the 1 GiB default.
-        assert_eq!(scale_budget(None, 1.0), gib);
-    }
-
-    /// On any Linux host one of the two sources exists, so the derived
-    /// config has a sane positive budget; everywhere the call at least
-    /// returns the floored default and a registry built on it works.
-    #[test]
-    fn budget_from_system_yields_usable_config() {
-        let cfg = RegistryConfig::budget_from_system(0.25);
-        assert!(cfg.memory_budget_bytes >= 64 << 20);
-        let reg: SolverRegistry<u32> = SolverRegistry::with_config(cfg, |side: &u32| {
-            let g = generators::grid2d(*side as usize, *side as usize);
-            LaplacianSolver::build(&g, SolverOptions { seed: 7, ..SolverOptions::default() })
-        });
-        assert!(reg.solve(&6, &random_demand(36, 1), 1e-6).is_ok());
     }
 }

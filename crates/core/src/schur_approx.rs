@@ -14,6 +14,7 @@
 //! 2. `|E(G_S)| ≤ m`.
 
 use crate::alpha::split_uniform;
+use crate::chain::CONNECTIVITY_RETRIES;
 use crate::error::SolverError;
 use crate::five_dd::{five_dd_subset, SAMPLE_FRACTION};
 use crate::walks::terminal_walks;
@@ -32,18 +33,11 @@ pub struct ApproxSchurOptions {
     pub split: usize,
     /// `5DDSubset` candidate fraction.
     pub sample_fraction: f64,
-    /// Resample disconnected intermediate draws (as in the chain).
-    pub connectivity_retries: usize,
 }
 
 impl Default for ApproxSchurOptions {
     fn default() -> Self {
-        ApproxSchurOptions {
-            seed: 0x5c4u64,
-            split: 4,
-            sample_fraction: SAMPLE_FRACTION,
-            connectivity_retries: 3,
-        }
+        ApproxSchurOptions { seed: 0x5c4u64, split: 4, sample_fraction: SAMPLE_FRACTION }
     }
 }
 
@@ -126,7 +120,7 @@ pub fn approx_schur(
             let walk_seed = mix2(opts.seed, mix2(rounds as u64, attempt as u64));
             let out = terminal_walks(&cur, &inc, &in_c, walk_seed);
             meter.record("terminal_walks", out.stats.cost);
-            if num_components(&out.graph) == 1 || attempt >= opts.connectivity_retries {
+            if num_components(&out.graph) == 1 || attempt >= CONNECTIVITY_RETRIES {
                 break out;
             }
             attempt += 1;

@@ -101,8 +101,6 @@ pub struct SolverOptions {
     pub base_size: usize,
     /// `5DDSubset` candidate fraction (paper: 1/20).
     pub sample_fraction: f64,
-    /// Resampling budget for disconnected walk rounds.
-    pub connectivity_retries: usize,
     /// Assumed preconditioner quality δ (Theorem 3.10 guarantees
     /// δ = 1 w.h.p. under Θ(log²n) splitting), finite and `> 0`: sets
     /// Richardson's step and iteration count, and the certified stop's
@@ -138,7 +136,6 @@ impl Default for SolverOptions {
             split: SplitStrategy::default(),
             base_size: 100,
             sample_fraction: crate::five_dd::SAMPLE_FRACTION,
-            connectivity_retries: 3,
             delta: 1.0,
             outer: OuterMethod::Pcg,
             require_balanced_rhs: false,

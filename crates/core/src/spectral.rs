@@ -14,7 +14,6 @@ use parlap_graph::laplacian::LaplacianOp;
 use parlap_graph::multigraph::MultiGraph;
 use parlap_linalg::op::LinOp;
 use parlap_linalg::vector::{dot, norm2, project_out_ones, random_demand, scale};
-use rayon::prelude::*;
 
 /// Result of a Fiedler computation.
 #[derive(Clone, Debug)]
@@ -98,9 +97,9 @@ pub fn spectral_bisection(
     let fiedler = fiedler_vector(g, solver, opts)?;
     let n = g.num_vertices();
     let mut order: Vec<usize> = (0..n).collect();
-    // Stable parallel sort (thread-count-independent permutation);
-    // keeps the sequential version's NaN-intolerant comparator.
-    order.par_sort_by(|&a, &b| fiedler.vector[a].partial_cmp(&fiedler.vector[b]).expect("finite"));
+    // Stable sort (a unique, thread-count-independent permutation);
+    // the comparator is NaN-intolerant.
+    order.sort_by(|&a, &b| fiedler.vector[a].partial_cmp(&fiedler.vector[b]).expect("finite"));
     let mut side = vec![false; n];
     for &v in &order[..n / 2] {
         side[v] = true;

@@ -2,10 +2,12 @@
 //!
 //! `L = D - A` applied three ways:
 //!
+//! * [`to_csr`] — CSR materialization: the solver's system matrix
+//!   (the outer loop's matvec), also used by the CG/PCG baselines;
 //! * [`LaplacianOp`] — matrix-free matvec straight off the edge list
-//!   (`O(m)` work, `O(log m)` depth via the gather formulation), the
-//!   form the solver uses;
-//! * [`to_csr`] — CSR materialization for the CG/PCG baselines;
+//!   (`O(m)` work, `O(log m)` depth via the gather formulation), used
+//!   by the Fiedler iteration in `parlap_core::spectral`, the
+//!   experiments, examples and tests;
 //! * [`to_dense`] — dense materialization for the small base case and
 //!   test oracles.
 

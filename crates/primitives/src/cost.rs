@@ -53,27 +53,6 @@ impl Cost {
         Cost { work: self.work + other.work, depth: self.depth.max(other.depth) }
     }
 
-    /// Cost of a parallel map over per-item costs, including the
-    /// `⌈log₂ n⌉` fork/join (or reduction) overhead the PRAM model
-    /// charges for combining `n` tasks.
-    pub fn par_map<I: IntoIterator<Item = Cost>>(items: I) -> Self {
-        let mut work = 0u64;
-        let mut depth = 0u64;
-        let mut n = 0u64;
-        for c in items {
-            work += c.work;
-            depth = depth.max(c.depth);
-            n += 1;
-        }
-        Cost { work, depth: depth + log2_ceil(n) }
-    }
-
-    /// Cost of a parallel map of `n` uniform tasks.
-    #[inline]
-    pub fn par_uniform(n: u64, each: Cost) -> Self {
-        Cost { work: n * each.work, depth: each.depth + log2_ceil(n) }
-    }
-
     /// Cost of a parallel reduction over `n` scalars.
     #[inline]
     pub fn reduction(n: u64) -> Self {
@@ -167,11 +146,6 @@ impl CostMeter {
         }
         grouped
     }
-
-    /// Merge another meter's entries after this one's.
-    pub fn absorb(&mut self, other: CostMeter) {
-        self.entries.extend(other.entries);
-    }
 }
 
 #[cfg(test)]
@@ -197,19 +171,6 @@ mod tests {
         assert_eq!(a.then(b), Cost::new(30, 8));
         assert_eq!(a.beside(b), Cost::new(30, 5));
         assert_eq!(a.repeat(3), Cost::new(30, 9));
-    }
-
-    #[test]
-    fn par_map_adds_join_depth() {
-        let items = vec![Cost::new(4, 2); 8];
-        let c = Cost::par_map(items);
-        assert_eq!(c.work, 32);
-        assert_eq!(c.depth, 2 + 3);
-    }
-
-    #[test]
-    fn par_map_empty_is_zero() {
-        assert_eq!(Cost::par_map(std::iter::empty()), Cost::ZERO);
     }
 
     #[test]
@@ -243,12 +204,5 @@ mod tests {
             ]
         );
         assert_eq!(m.by_label()[2], ("check".to_string(), Cost::ZERO));
-    }
-
-    #[test]
-    fn uniform_par() {
-        let c = Cost::par_uniform(1000, Cost::new(3, 1));
-        assert_eq!(c.work, 3000);
-        assert_eq!(c.depth, 1 + 10);
     }
 }

@@ -26,9 +26,9 @@ const MAP_LEAF: usize = 1 << 12;
 /// with `rayon::join` down to ~`MAP_LEAF` (4096) elements. `f` must be
 /// a pure element-wise map (each output element a function of the same
 /// index's inputs only); the split points may vary, so anything whose
-/// *result* depends on slice boundaries does not belong here. Exists
-/// because the vendored rayon has no `par_chunks_mut`, and per-element
-/// `par_iter_mut` defeats unrolled kernels.
+/// *result* depends on slice boundaries does not belong here. `f`
+/// sees whole sub-slices because per-element `par_iter_mut` defeats
+/// unrolled kernels.
 pub fn par_apply_chunks<F>(x: &mut [f64], f: &F)
 where
     F: Fn(&mut [f64]) + Sync,
@@ -64,21 +64,21 @@ where
 }
 
 /// Stable sort of ids by a float score, highest first — the shared
-/// sweep-cut ordering (clustering, max-flow). Routed through
-/// `par_sort_by`, which runs std's stable sort.
+/// sweep-cut ordering (clustering, max-flow), run by std's stable
+/// `sort_by` on the calling thread.
 ///
 /// NaN scores order deterministically *after* every number (and tie
 /// with each other, so the stable sort keeps their input order). This
 /// keeps the comparator a strict weak order even on NaN inputs — a
-/// requirement, not a nicety: the sort behind `par_sort_by` is free to
-/// change per machine, pool size or toolchain precisely because the
-/// stable permutation under a well-defined order is unique, which a
-/// non-transitive `unwrap_or(Equal)` comparator would break. On
-/// NaN-free scores the ordering is bit-for-bit the old sequential
-/// `sort_by(partial_cmp)` one, and the output permutation is
-/// identical at every thread count either way.
-pub fn par_sort_desc_by_score<I: Send>(ids: &mut [I], score: impl Fn(&I) -> f64 + Sync) {
-    ids.par_sort_by(|a, b| {
+/// requirement, not a nicety: the sort algorithm is free to change per
+/// machine or toolchain precisely because the stable permutation under
+/// a well-defined order is unique, which a non-transitive
+/// `unwrap_or(Equal)` comparator would break. On NaN-free scores the
+/// ordering is bit-for-bit the old sequential `sort_by(partial_cmp)`
+/// one, and the output permutation is identical at every thread count
+/// either way.
+pub fn sort_desc_by_score<I>(ids: &mut [I], score: impl Fn(&I) -> f64) {
+    ids.sort_by(|a, b| {
         let (x, y) = (score(a), score(b));
         match y.partial_cmp(&x) {
             Some(ord) => ord,
@@ -129,7 +129,7 @@ mod tests {
         let run = |threads: usize| {
             with_threads(threads, || {
                 let mut ids: Vec<u32> = (0..n as u32).collect();
-                par_sort_desc_by_score(&mut ids, |&v| score[v as usize]);
+                sort_desc_by_score(&mut ids, |&v| score[v as usize]);
                 ids
             })
         };

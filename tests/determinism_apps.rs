@@ -222,42 +222,6 @@ fn whole_solve_identical_across_1_2_4_8_threads() {
     }
 }
 
-/// The `par_sort_*` entry points must return bit-identical
-/// permutations at every pool size — stable AND unstable variants.
-/// This is what lets the sweep-cut orderings sit on
-/// solver-determinism-audited paths.
-#[test]
-fn par_sorts_identical_across_1_2_4_8_threads() {
-    use rayon::prelude::*;
-    // Heavy key duplication, unique payloads: ties everywhere.
-    let records: Vec<(u32, u32)> = {
-        let mut state = 42u64;
-        (0..60_000u32)
-            .map(|i| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (((state >> 33) % 31) as u32, i)
-            })
-            .collect()
-    };
-    let run = |threads: usize| {
-        with_threads(threads, || {
-            let mut stable = records.clone();
-            stable.par_sort_by_key(|&(k, _)| k);
-            let mut unstable = records.clone();
-            unstable.par_sort_unstable_by_key(|&(k, _)| k);
-            (stable, unstable)
-        })
-    };
-    let base = run(1);
-    // The stable half also has a unique mathematical answer; pin it.
-    let mut expect = records.clone();
-    expect.sort_by_key(|&(k, _)| k);
-    assert_eq!(base.0, expect, "stable par_sort must equal std stable sort");
-    for threads in [2, 4, 8] {
-        assert_eq!(run(threads), base, "sort output changed at {threads} threads");
-    }
-}
-
 /// The CSR incidence structure (a counting sort over a chunked
 /// parallel scan) must not depend on the pool size.
 #[test]
