@@ -50,7 +50,11 @@ pub struct ChainOptions {
     pub seed: u64,
     /// Stop recursing when this few vertices remain (paper: 100).
     pub base_size: usize,
-    /// `5DDSubset` candidate-set fraction (paper: 1/20).
+    /// `5DDSubset` candidate-set fraction, in `(0, 1]`. The default is
+    /// the paper's 1/20 ([`SAMPLE_FRACTION`]), so
+    /// `ChainOptions::default()` is Algorithm 1 as the paper states it;
+    /// the solver's own default is larger
+    /// ([`SolverOptions::sample_fraction`](crate::solver::SolverOptions::sample_fraction)).
     pub sample_fraction: f64,
     /// Hard cap on rounds (safety net; the paper proves `O(log n)`).
     pub max_rounds: usize,

@@ -12,6 +12,18 @@
 //! Markov, a constant fraction survives with probability ≥ 1/2
 //! (Lemma 3.4), so `O(1)` rounds suffice in expectation and the
 //! returned set has size ≥ `n/40`.
+//!
+//! The paper's 1/20 is [`SAMPLE_FRACTION`], and
+//! [`crate::chain::ChainOptions::default`] runs Algorithm 1 with it.
+//! The proofs need only a 5-DD `F` of at least `n/40` vertices, so the
+//! solver's default
+//! ([`SolverOptions::sample_fraction`](crate::solver::SolverOptions::sample_fraction))
+//! draws larger candidate sets and builds a shallower chain. A larger
+//! fraction can starve the filter: on a dense graph a candidate's
+//! weight inside `F'` is about the fraction times its degree, against
+//! the filter's 1/5. So after a round that keeps fewer than `⌈n/40⌉`
+//! vertices, the next round samples at half the fraction, never below
+//! 1/20; fractions at or below 1/20 are never changed.
 
 use parlap_graph::multigraph::{Incidence, MultiGraph};
 use parlap_primitives::cost::{log2_ceil, Cost};
@@ -42,9 +54,11 @@ pub const DD_FACTOR: f64 = 5.0;
 
 /// Run `5DDSubset` on a multigraph.
 ///
-/// `sample_fraction` overrides the paper's 1/20 for ablation
-/// experiments (the 5-DD *validity* of the output is unconditional —
-/// only the size guarantee depends on the fraction). The returned set
+/// `sample_fraction` is the first round's candidate fraction (the
+/// paper's is [`SAMPLE_FRACTION`]). Each round that keeps fewer than
+/// `⌈n/40⌉` vertices halves it for the next, down to 1/20 at the
+/// lowest. The 5-DD *validity* of the output is unconditional — only
+/// the size guarantee depends on the fraction. The returned set
 /// always satisfies Definition 3.1, verified by construction.
 pub fn five_dd_subset(
     g: &MultiGraph,
@@ -57,10 +71,12 @@ pub fn five_dd_subset(
     assert!(n > 0, "5DDSubset on empty graph");
     assert!(sample_fraction > 0.0 && sample_fraction <= 1.0, "sample_fraction must be in (0, 1]");
     let edges = g.edges();
-    let sample_size = ((n as f64 * sample_fraction).floor() as usize).clamp(1, n);
-    // Needed size: ceil(n/40) with the paper's constants scaled to the
-    // chosen sample fraction (sample/2 survives in expectation; we keep
-    // the paper's n/40 when fraction is the default).
+    let size_at = |fraction: f64| ((n as f64 * fraction).floor() as usize).clamp(1, n);
+    let mut fraction = sample_fraction;
+    let mut sample_size = size_at(fraction);
+    // Needed size: the paper's ceil(n/40), capped by a candidate set
+    // smaller than that (fractions below 1/40). Halving stops at 1/20,
+    // whose candidate set is never smaller than ceil(n/40).
     let need = ((n as f64 * KEEP_FRACTION).ceil() as usize).clamp(1, sample_size);
     let mut in_fprime = vec![false; n];
     let mut rounds = 0usize;
@@ -123,11 +139,11 @@ pub fn five_dd_subset(
             best = kept;
         }
         // With the paper's 1/20 fraction, Lemma 3.4 gives success per
-        // round w.p. ≥ 1/2, so this loop ends almost immediately. With
-        // user-tuned aggressive fractions (ablation E17) the filter
-        // can starve; degrade gracefully after a round budget: any
-        // non-empty valid subset keeps the algorithm correct (only the
-        // round count d suffers), and a singleton is always 5-DD.
+        // round w.p. ≥ 1/2, so this loop ends almost immediately, and a
+        // larger fraction is halved back to it. After a round budget,
+        // degrade gracefully: any non-empty valid subset keeps the
+        // algorithm correct (only the round count d suffers), and a
+        // singleton is always 5-DD.
         let done = best.len() >= need || rounds >= MAX_ROUNDS;
         if done {
             if best.is_empty() {
@@ -147,6 +163,12 @@ pub fn five_dd_subset(
             // gather, O(log) depth), filter (O(log) depth compaction).
             let depth = rounds as u64 * (2 * log2_ceil(n as u64) + 4);
             return FiveDdResult { in_f, f_set, rounds, cost: Cost::new(work, depth) };
+        }
+        // This round kept fewer than `need`: a starved filter. Lemma
+        // 3.4 holds again once the fraction is back at the paper's.
+        if fraction > SAMPLE_FRACTION {
+            fraction = (fraction / 2.0).max(SAMPLE_FRACTION);
+            sample_size = size_at(fraction);
         }
     }
 }

@@ -84,6 +84,13 @@ pub(crate) fn prepare(g: &MultiGraph, options: &SolverOptions) -> Result<Prepare
             options.delta
         )));
     }
+    // Only the chain reads the fraction; checked here for both backends.
+    if !(options.sample_fraction > 0.0 && options.sample_fraction <= 1.0) {
+        return Err(SolverError::InvalidOption(format!(
+            "sample_fraction = {} must be in (0, 1]",
+            options.sample_fraction
+        )));
+    }
     // Stage: sparsify (optional).
     let stage = sparsify_stage(g, options)?;
     // Stage: backend build — on the sparsifier when the stage engaged,

@@ -139,3 +139,34 @@ fn alpha_bounded_inputs_give_better_chains() {
     }
     assert!(epss[1] < epss[0], "8-way split should tighten the spectrum: {epss:?}");
 }
+
+#[test]
+fn large_sample_fractions_keep_lemma_3_4_per_level() {
+    // Lemma 3.4: every round eliminates at least ⌈n_k/40⌉ vertices. On a
+    // dense graph a candidate's weight inside a candidate set of half
+    // or all of the vertices is far above the 5-DD filter's 1/5 of its
+    // degree, so a starved round must halve the fraction toward the
+    // paper's 1/20 rather than settle for a handful of vertices.
+    let g = generators::gnp_connected(200, 0.5, 3);
+    let b = vector::random_demand(g.num_vertices(), 4);
+    for frac in [0.5, 1.0] {
+        let opts = SolverOptions {
+            sample_fraction: frac,
+            backend: BackendKind::Chain,
+            ..SolverOptions::default()
+        };
+        let solver = LaplacianSolver::build(&g, opts).expect("build");
+        let chain = solver.chain();
+        assert!(chain.depth() >= 1, "fraction {frac}: no level");
+        for (k, w) in chain.stats.level_vertices.windows(2).enumerate() {
+            let (n_k, kept) = (w[0], w[0] - w[1]);
+            assert!(
+                kept >= n_k.div_ceil(40),
+                "fraction {frac}, level {k}: kept {kept} of {n_k} < ⌈n/40⌉"
+            );
+        }
+        let out = solver.solve(&b, 1e-6).expect("solve");
+        let err = solver.relative_error(&b, &out.solution);
+        assert!(err <= 1e-6, "fraction {frac}: L-norm error {err:.2e}");
+    }
+}

@@ -85,6 +85,17 @@ fn solver_rejects_bad_options() {
             );
         }
     }
+    // The 5DDSubset candidate fraction must lie in (0, 1]. Only the
+    // chain reads it, but a bad one fails either backend's build.
+    for backend in [BackendKind::Chain, BackendKind::Multigrid] {
+        for sample_fraction in [0.0, -0.5, 1.5, f64::NAN] {
+            let opts = SolverOptions { sample_fraction, backend, ..SolverOptions::default() };
+            assert!(
+                matches!(LaplacianSolver::build(&g, opts), Err(SolverError::InvalidOption(_))),
+                "{backend:?}: sample_fraction = {sample_fraction} must be rejected"
+            );
+        }
+    }
 }
 
 #[test]

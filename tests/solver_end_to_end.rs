@@ -165,3 +165,25 @@ fn inconsistent_rhs_is_projected() {
         assert!((a - b).abs() < 1e-9);
     }
 }
+
+#[test]
+fn default_chain_is_shallow_on_dense_input() {
+    // The solver's default candidate fraction is larger than the
+    // paper's 1/20, so on a dense graph its chain needs at most half
+    // the rounds of Algorithm 1 as stated, and both still meet ε.
+    use parlap_core::five_dd::SAMPLE_FRACTION;
+    let g = generators::gnp_connected(500, 0.5, 3);
+    let b = vector::random_demand(g.num_vertices(), 8);
+    let eps = 1e-6;
+    let chain_opts = SolverOptions { backend: BackendKind::Chain, ..SolverOptions::default() };
+    let paper = SolverOptions { sample_fraction: SAMPLE_FRACTION, ..chain_opts.clone() };
+    let mut depths = Vec::new();
+    for (name, opts) in [("default", chain_opts), ("paper 1/20", paper)] {
+        let solver = LaplacianSolver::build(&g, opts).expect("build");
+        let out = solver.solve(&b, eps).expect("solve");
+        let err = solver.relative_error(&b, &out.solution);
+        assert!(err <= eps, "{name}: L-norm error {err:.2e}");
+        depths.push(solver.chain().depth());
+    }
+    assert!(2 * depths[0] <= depths[1], "default depth {} vs paper depth {}", depths[0], depths[1]);
+}
