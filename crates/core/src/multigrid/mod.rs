@@ -8,8 +8,9 @@
 //!    matching in vertex order, leftovers folded into neighboring
 //!    aggregates (size-capped) or kept as singletons.
 //! 2. **Coarsen** ([`galerkin`]): `A_c = Pᵀ A P` for the
-//!    piecewise-constant `P`, one `O(nnz)` relabel-and-merge pass on
-//!    CSR.
+//!    piecewise-constant `P`, one `O(nnz)` pass that folds each coarse
+//!    row's children into it. The finest level is the Laplacian the
+//!    solver already assembled for its outer loop, shared, not copied.
 //! 3. **Repeat** until the matrix fits the dense base
 //!    (`SolverOptions::base_size`, the same knob the chain uses), a
 //!    level cap, or a stall guard trips; the base is solved exactly
@@ -45,7 +46,7 @@ use crate::backend::{dense_base_pinv, Preconditioner};
 use crate::error::SolverError;
 use crate::solver::SolverOptions;
 use aggregate::aggregate;
-use galerkin::galerkin_coarse;
+use galerkin::{children_csr, galerkin_coarse};
 use parlap_graph::connectivity::num_components;
 use parlap_graph::laplacian::to_csr;
 use parlap_graph::multigraph::MultiGraph;
@@ -55,6 +56,7 @@ use parlap_linalg::op::LinOp;
 use parlap_linalg::vector::project_out_ones;
 use parlap_primitives::cost::{log2_ceil, Cost};
 use parlap_primitives::util::par_tabulate;
+use std::sync::Arc;
 
 /// Damped-Jacobi relaxation weight. For a Laplacian,
 /// `λmax(D⁻¹A) ≤ 2`, so `ω = 2/3` keeps `ω·D⁻¹A` inside `(0, 4/3)` —
@@ -79,7 +81,8 @@ const STALL_MAX_DENSE: usize = 4096;
 /// Jacobi smoothing, and the transfer maps to the next-coarser level.
 #[derive(Debug)]
 struct MgLevel {
-    a: CsrMatrix,
+    /// Shared: the finest level's matrix may be the solver's own `L`.
+    a: Arc<CsrMatrix>,
     inv_diag: Vec<f64>,
     /// Fine → coarse vertex map (prolongation: `x[i] += xc[agg_of[i]]`).
     agg_of: Vec<u32>,
@@ -112,24 +115,54 @@ fn inverse_diagonal(a: &CsrMatrix) -> Vec<f64> {
         .collect()
 }
 
-/// Children lists per coarse vertex as a CSR (counting sort over the
-/// fine→coarse map; children end up in increasing fine order).
-fn children_csr(agg_of: &[u32], nc: usize) -> (Vec<usize>, Vec<u32>) {
-    let mut counts = vec![0usize; nc];
-    for &a in agg_of {
-        counts[a as usize] += 1;
-    }
-    let ptr = parlap_primitives::scan::exclusive_scan(&counts);
-    let mut cursor = ptr.clone();
-    let mut children = vec![0u32; agg_of.len()];
-    for (i, &a) in agg_of.iter().enumerate() {
-        children[cursor[a as usize]] = i as u32;
-        cursor[a as usize] += 1;
-    }
-    (ptr, children)
-}
-
 impl MultigridBackend {
+    /// Build the hierarchy on `l`, the Laplacian [`to_csr`] assembles
+    /// from `g`, keeping `l` itself as the finest level: the solver
+    /// passes its own system matrix here, so one build holds one copy.
+    pub(crate) fn build_on(
+        g: &MultiGraph,
+        l: Arc<CsrMatrix>,
+        options: &SolverOptions,
+    ) -> Result<Self, SolverError> {
+        let n = g.num_vertices();
+        if n == 0 {
+            return Err(SolverError::EmptyGraph);
+        }
+        let components = num_components(g);
+        if components > 1 {
+            return Err(SolverError::Disconnected { components });
+        }
+        if options.base_size == 0 {
+            return Err(SolverError::InvalidOption("base_size must be ≥ 1".into()));
+        }
+        debug_assert_eq!(l.dim(), n, "the Laplacian must be the graph's");
+        let mut a = l;
+        let mut levels = Vec::new();
+        let mut total_nnz = a.nnz();
+        while a.dim() > options.base_size && levels.len() < MAX_LEVELS {
+            let agg = aggregate(&a);
+            let stalled = (agg.num_aggregates as f64) > STALL_SHRINK * a.dim() as f64;
+            if stalled && a.dim() <= STALL_MAX_DENSE {
+                break;
+            }
+            let (coarse_ptr, children) = children_csr(&agg.agg_of, agg.num_aggregates);
+            let coarse = galerkin_coarse(&a, &agg.agg_of, &coarse_ptr, &children);
+            total_nnz += coarse.nnz();
+            let inv_diag = inverse_diagonal(&a);
+            levels.push(MgLevel { a, inv_diag, agg_of: agg.agg_of, coarse_ptr, children });
+            a = Arc::new(coarse);
+        }
+        let base_n = a.dim();
+        let base_pinv = dense_base_pinv(&a.to_dense())?;
+        Ok(MultigridBackend { levels, base_pinv, base_n, n, total_nnz })
+    }
+
+    /// The finest level's matrix, `None` when the whole graph fits the
+    /// dense base.
+    pub(crate) fn finest(&self) -> Option<&Arc<CsrMatrix>> {
+        self.levels.first().map(|l| &l.a)
+    }
+
     /// Number of non-base levels in the hierarchy.
     pub fn num_levels(&self) -> usize {
         self.levels.len()
@@ -190,36 +223,7 @@ impl MultigridBackend {
 
 impl Preconditioner for MultigridBackend {
     fn build(g: &MultiGraph, options: &SolverOptions) -> Result<Self, SolverError> {
-        let n = g.num_vertices();
-        if n == 0 {
-            return Err(SolverError::EmptyGraph);
-        }
-        let components = num_components(g);
-        if components > 1 {
-            return Err(SolverError::Disconnected { components });
-        }
-        if options.base_size == 0 {
-            return Err(SolverError::InvalidOption("base_size must be ≥ 1".into()));
-        }
-        let mut a = to_csr(g);
-        let mut levels = Vec::new();
-        let mut total_nnz = a.nnz();
-        while a.dim() > options.base_size && levels.len() < MAX_LEVELS {
-            let agg = aggregate(&a);
-            let stalled = (agg.num_aggregates as f64) > STALL_SHRINK * a.dim() as f64;
-            if stalled && a.dim() <= STALL_MAX_DENSE {
-                break;
-            }
-            let coarse = galerkin_coarse(&a, &agg);
-            total_nnz += coarse.nnz();
-            let (coarse_ptr, children) = children_csr(&agg.agg_of, agg.num_aggregates);
-            let inv_diag = inverse_diagonal(&a);
-            levels.push(MgLevel { a, inv_diag, agg_of: agg.agg_of, coarse_ptr, children });
-            a = coarse;
-        }
-        let base_n = a.dim();
-        let base_pinv = dense_base_pinv(&a.to_dense())?;
-        Ok(MultigridBackend { levels, base_pinv, base_n, n, total_nnz })
+        Self::build_on(g, Arc::new(to_csr(g)), options)
     }
 
     fn dim(&self) -> usize {

@@ -25,6 +25,7 @@
 
 use crate::backend::{build_backend, BackendKind, Preconditioner};
 use crate::error::SolverError;
+use crate::multigrid::MultigridBackend;
 use crate::solver::SolverOptions;
 use crate::sparsify::{sparsify_to_eps, SparsifyOptions};
 use parlap_graph::connectivity::num_components;
@@ -32,6 +33,7 @@ use parlap_graph::laplacian::to_csr;
 use parlap_graph::multigraph::MultiGraph;
 use parlap_linalg::csr::CsrMatrix;
 use parlap_primitives::prng::mix2;
+use std::sync::Arc;
 
 /// Target Loewner accuracy of the sparsify stage's sample: sets the
 /// sample budget `q = ⌈4 n ln n / ε²⌉ ≈ 11 n ln n` (comfortably below
@@ -63,7 +65,7 @@ impl SparsifyStage {
 /// pipeline: the original-graph CSR, the backend built on the
 /// (possibly sparsified) graph, and the stage record.
 pub(crate) struct Prepared {
-    pub(crate) csr: CsrMatrix,
+    pub(crate) csr: Arc<CsrMatrix>,
     pub(crate) backend: Box<dyn Preconditioner>,
     pub(crate) resolved_backend: BackendKind,
     pub(crate) sparsify: Option<SparsifyStage>,
@@ -93,12 +95,20 @@ pub(crate) fn prepare(g: &MultiGraph, options: &SolverOptions) -> Result<Prepare
     }
     // Stage: sparsify (optional).
     let stage = sparsify_stage(g, options)?;
+    // The outer loop's system matrix, assembled once.
+    let csr = Arc::new(to_csr(g));
     // Stage: backend build — on the sparsifier when the stage engaged,
-    // else on the input.
+    // else on the input. A multigrid on the input keeps `csr` as its
+    // finest level instead of assembling a second copy.
     let backend_graph = stage.as_ref().map_or(g, |st| &st.graph);
     let resolved_backend = options.backend.resolve(backend_graph);
-    let backend = build_backend(backend_graph, options)?;
-    Ok(Prepared { csr: to_csr(g), backend, resolved_backend, sparsify: stage })
+    let backend: Box<dyn Preconditioner> = match (&stage, resolved_backend) {
+        (None, BackendKind::Multigrid) => {
+            Box::new(MultigridBackend::build_on(g, Arc::clone(&csr), options)?)
+        }
+        _ => build_backend(backend_graph, options)?,
+    };
+    Ok(Prepared { csr, backend, resolved_backend, sparsify: stage })
 }
 
 /// The sparsify stage: decide, sample, and sanity-check. Returns

@@ -41,7 +41,8 @@ pub struct ResistanceOracle {
 }
 
 impl ResistanceOracle {
-    /// Preprocess `g` with `O(log n)` parallel Laplacian solves.
+    /// Preprocess `g` with `O(log n)` Laplacian solves on one solver
+    /// build, run one after another (each solve is parallel inside).
     pub fn build(g: &MultiGraph, opts: &ResistanceOptions) -> Result<Self, SolverError> {
         let n = g.num_vertices();
         if n == 0 {

@@ -18,6 +18,7 @@ use crate::apply::ChainBackend;
 use crate::backend::{BackendKind, BackendOp, Preconditioner};
 use crate::chain::CholeskyChain;
 use crate::error::{SolveProgress, SolverError};
+use crate::multigrid::MultigridBackend;
 use crate::pipeline::{SparsifyStage, SPARSIFY_EPS};
 use crate::richardson::{certified_target, preconditioned_richardson, RichardsonOptions};
 use parlap_graph::multigraph::MultiGraph;
@@ -27,6 +28,7 @@ use parlap_linalg::interrupt::InterruptHandle;
 use parlap_linalg::op::LinOp;
 use parlap_linalg::vector::dot;
 use parlap_primitives::cost::Cost;
+use std::sync::Arc;
 
 /// The outer loop that drives the preconditioner to accuracy ε: one
 /// variant per stop rule in use. The certified stop
@@ -193,7 +195,10 @@ pub struct SolveOutcome {
 #[derive(Debug)]
 pub struct LaplacianSolver {
     n: usize,
-    csr: CsrMatrix,
+    /// The input graph's Laplacian, the outer loop's system matrix; a
+    /// multigrid backend built on the input shares it as its finest
+    /// level.
+    csr: Arc<CsrMatrix>,
     /// The built preconditioner (chain or multigrid; see
     /// [`SolverOptions::backend`]).
     backend: Box<dyn Preconditioner>,
@@ -400,20 +405,32 @@ impl LaplacianSolver {
     }
 
     /// Estimated resident memory of this built solver in bytes: the
-    /// CSR of the original Laplacian plus the factorization chain
-    /// ([`CholeskyChain::estimated_bytes`]). The estimate drives the
+    /// CSR of the original Laplacian plus the backend
+    /// ([`Preconditioner::estimated_bytes`]), the CSR counted once when
+    /// it is also the multigrid's finest level. The estimate drives the
     /// [`crate::registry::SolverRegistry`] eviction budget; it counts
     /// the dominant `O(m)` arrays and the dense base pseudoinverse,
     /// not allocator slack.
     pub fn estimated_bytes(&self) -> usize {
         // CSR: row pointers (usize), column indices (u32), values (f64).
-        let csr = (self.n + 1) * 8 + self.csr.nnz() * (4 + 8);
+        let csr =
+            if self.csr_is_shared() { 0 } else { (self.n + 1) * 8 + self.csr.nnz() * (4 + 8) };
         // The retained sparsifier (16 bytes per Edge{u32,u32,f64}) —
         // the backend's own arrays are already counted above.
         let sparsifier = self.sparsify.as_ref().map_or(0, |st| {
             st.edges_after() * std::mem::size_of::<parlap_graph::multigraph::Edge>()
         });
         std::mem::size_of::<Self>() + csr + self.backend.estimated_bytes() + sparsifier
+    }
+
+    /// Whether the backend holds [`LaplacianSolver`]'s own CSR, as the
+    /// finest level of a multigrid built on the input does.
+    fn csr_is_shared(&self) -> bool {
+        self.backend
+            .as_any()
+            .downcast_ref::<MultigridBackend>()
+            .and_then(MultigridBackend::finest)
+            .is_some_and(|a| Arc::ptr_eq(a, &self.csr))
     }
 
     /// Mutable chain access for in-crate failure-injection tests (a
@@ -445,7 +462,7 @@ impl LaplacianSolver {
         } else {
             PcgStop::RelativeResidual(eps)
         };
-        let out = pcg_solve_with(&self.csr, w, b, stop, max_iter, interrupt);
+        let out = pcg_solve_with(&*self.csr, w, b, stop, max_iter, interrupt);
         if let Some(reason) = out.interrupted {
             let progress = SolveProgress {
                 iterations: out.iterations,
@@ -486,7 +503,7 @@ impl LaplacianSolver {
         let delta = self.effective_delta();
         let opts =
             RichardsonOptions { delta, certify_error: certify, interrupt: interrupt.cloned() };
-        let spent = match preconditioned_richardson(&self.csr, w, b, eps, &opts) {
+        let spent = match preconditioned_richardson(&*self.csr, w, b, eps, &opts) {
             Ok(out) if out.certified_error.is_some_and(|ce| ce > certified_target(delta, eps)) => {
                 out.iterations
             }
@@ -587,7 +604,7 @@ impl LaplacianSolver {
     pub fn relative_error(&self, b: &[f64], x: &[f64]) -> f64 {
         assert_eq!(b.len(), self.n, "relative_error: b dimension");
         assert_eq!(x.len(), self.n, "relative_error: x dimension");
-        let reference = cg_solve(&self.csr, b, 1e-13, 20 * self.n + 1000);
+        let reference = cg_solve(&*self.csr, b, 1e-13, 20 * self.n + 1000);
         let xstar = reference.solution;
         let d: Vec<f64> = x.iter().zip(&xstar).map(|(a, b)| a - b).collect();
         let ld = self.csr.apply_vec(&d);
@@ -973,6 +990,39 @@ mod tests {
         let b = random_demand(400, 3);
         let out = mg.solve(&b, 1e-8).expect("solve");
         assert!(mg.relative_error(&b, &out.solution) <= 1e-8 * 1.05);
+    }
+
+    /// A multigrid built on the input holds one Laplacian: the outer
+    /// loop's matrix is the hierarchy's finest level, the same
+    /// allocation, and `estimated_bytes` counts it once. A chain keeps
+    /// its own count of the CSR.
+    #[test]
+    fn multigrid_on_the_input_shares_the_system_matrix() {
+        let g = generators::grid2d(20, 20);
+        let o = SolverOptions { backend: BackendKind::Multigrid, ..opts(1) };
+        let mg = LaplacianSolver::build(&g, o.clone()).expect("build");
+        let mgb = mg.backend().as_any().downcast_ref::<MultigridBackend>().expect("multigrid");
+        let finest = mgb.finest().expect("a 400-vertex grid has levels");
+        assert!(Arc::ptr_eq(finest, &mg.csr), "the finest level must be the solver's CSR");
+        assert_eq!(Arc::strong_count(&mg.csr), 2, "the solver and the hierarchy, no copy");
+        assert_eq!(
+            mg.estimated_bytes(),
+            std::mem::size_of::<LaplacianSolver>() + mg.backend().estimated_bytes()
+        );
+        // A standalone backend build assembles its own matrix; the
+        // solver built on it counts its CSR beside the backend's.
+        let standalone = crate::backend::build_backend(&g, &o).expect("build");
+        let own = standalone.as_any().downcast_ref::<MultigridBackend>().expect("multigrid");
+        assert!(!Arc::ptr_eq(own.finest().expect("levels"), &mg.csr));
+        assert_eq!(standalone.estimated_bytes(), mg.backend().estimated_bytes());
+        let chain =
+            LaplacianSolver::build(&g, SolverOptions { backend: BackendKind::Chain, ..opts(1) })
+                .expect("build");
+        let csr = (400 + 1) * 8 + chain.csr.nnz() * 12;
+        assert_eq!(
+            chain.estimated_bytes(),
+            std::mem::size_of::<LaplacianSolver>() + csr + chain.backend().estimated_bytes()
+        );
     }
 
     /// Every outer method honors a pre-tripped interrupt handle and

@@ -8,8 +8,9 @@
 //! edges with probabilities `p_e ∝ w_e R_eff(e)` (leverage scores)
 //! and reweighting by `w_e/(q p_e)` yields `L_H ≈_ε L_G` w.h.p.
 //! The leverage scores come from the crate's JL resistance oracle
-//! ([`ResistanceOracle`]), which itself runs `O(log n)` parallel
-//! solver calls — so this module is the solver eating its own output.
+//! ([`ResistanceOracle`]), which itself runs `O(log n)` solver calls,
+//! one after another — so this module is the solver eating its own
+//! output.
 //!
 //! Used as the build-pipeline stage (`SolverOptions::sparsify`,
 //! [`crate::pipeline`]) the oracle is built on a cheap uniform

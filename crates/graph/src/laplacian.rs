@@ -3,7 +3,10 @@
 //! `L = D - A` applied three ways:
 //!
 //! * [`to_csr`] — CSR materialization: the solver's system matrix
-//!   (the outer loop's matvec), also used by the CG/PCG baselines;
+//!   (the outer loop's matvec, and the finest level of a multigrid
+//!   built on the input), also used by the CG/PCG baselines. It is
+//!   assembled once per build, in `O(n + m)` straight from the
+//!   incidence lists;
 //! * [`LaplacianOp`] — matrix-free matvec straight off the edge list
 //!   (`O(m)` work, `O(log m)` depth via the gather formulation), used
 //!   by the Fiedler iteration in `parlap_core::spectral`, the
@@ -15,6 +18,7 @@ use crate::multigraph::MultiGraph;
 use parlap_linalg::csr::CsrMatrix;
 use parlap_linalg::dense::DenseMatrix;
 use parlap_linalg::op::LinOp;
+use parlap_primitives::scan::exclusive_scan;
 use parlap_primitives::util::PAR_CUTOFF;
 use rayon::prelude::*;
 
@@ -65,16 +69,68 @@ impl LinOp for LaplacianOp<'_> {
     }
 }
 
-/// CSR Laplacian of a multigraph (parallel edges merged).
+/// CSR Laplacian of a multigraph, parallel edges merged: the solver's
+/// system matrix, assembled once per build.
+///
+/// Linear time, with no triplet array and no sort. The assembly walks
+/// the incidence lists with `v = 0..n` ascending and appends each edge
+/// at `v` to the row of its other endpoint `u` as `(v, −w)`, so every
+/// row comes out in column order. Parallel `u`–`v` edges arrive next to
+/// each other and are summed in edge order. Row `v`'s diagonal is
+/// placed at `v`'s own turn: its weighted degree, summed over
+/// [`Incidence::edges_at`](crate::multigraph::Incidence::edges_at)`(v)`
+/// in edge order. A vertex with no edges keeps an empty row. Every
+/// entry is therefore the in-order sum that
+/// [`CsrMatrix::from_triplets`] makes of the four triplets
+/// `(u,u,w), (v,v,w), (u,v,−w), (v,u,−w)` per edge. One count pass
+/// sizes the rows exactly and one fill pass writes them: `O(n + m)`.
 pub fn to_csr(g: &MultiGraph) -> CsrMatrix {
-    let mut triplets: Vec<(u32, u32, f64)> = Vec::with_capacity(4 * g.num_edges());
-    for e in g.edges() {
-        triplets.push((e.u, e.u, e.w));
-        triplets.push((e.v, e.v, e.w));
-        triplets.push((e.u, e.v, -e.w));
-        triplets.push((e.v, e.u, -e.w));
+    let n = g.num_vertices();
+    let edges = g.edges();
+    let inc = g.incidence();
+    // Count pass: distinct columns per row. `last[u]` is the column
+    // most recently appended to row u.
+    let mut counts = vec![0usize; n];
+    let mut last = vec![u32::MAX; n];
+    for v in 0..n {
+        let at = inc.edges_at(v);
+        counts[v] += usize::from(!at.is_empty());
+        for &ei in at {
+            let u = edges[ei as usize].other(v as u32) as usize;
+            if last[u] != v as u32 {
+                last[u] = v as u32;
+                counts[u] += 1;
+            }
+        }
     }
-    CsrMatrix::from_triplets(g.num_vertices(), &triplets)
+    let row_ptr = exclusive_scan(&counts);
+    // Fill pass: `cursor[u]` is the next free slot of row u; a repeat
+    // of column v in row u is the entry just before it.
+    let mut cursor = counts;
+    cursor.copy_from_slice(&row_ptr[..n]);
+    let mut col_idx = vec![0u32; row_ptr[n]];
+    let mut values = vec![0.0f64; row_ptr[n]];
+    for v in 0..n {
+        let at = inc.edges_at(v);
+        if !at.is_empty() {
+            col_idx[cursor[v]] = v as u32;
+            values[cursor[v]] = at.iter().fold(0.0, |deg, &ei| deg + edges[ei as usize].w);
+            cursor[v] += 1;
+        }
+        for &ei in at {
+            let e = &edges[ei as usize];
+            let u = e.other(v as u32) as usize;
+            let k = cursor[u];
+            if k > row_ptr[u] && col_idx[k - 1] == v as u32 {
+                values[k - 1] -= e.w;
+            } else {
+                col_idx[k] = v as u32;
+                values[k] = -e.w;
+                cursor[u] = k + 1;
+            }
+        }
+    }
+    CsrMatrix::from_parts(n, row_ptr, col_idx, values)
 }
 
 /// Dense Laplacian (tests and the ≤100-vertex base case only).

@@ -155,18 +155,32 @@ impl MultiGraph {
         Incidence { offsets, inc_edges }
     }
 
-    /// Merge parallel multi-edges into a simple weighted graph
-    /// (summing weights). Used when flattening the base case `G(d)`.
+    /// Merge parallel multi-edges into a simple weighted graph: one edge
+    /// `(u, v, Σw)` with `u < v` per adjacent pair, ordered by `(u, v)`.
+    /// The sparsify stage merges its sample with it
+    /// (`parlap_core::sparsify`), and [`crate::io::write_matrix_market`]
+    /// writes its edges.
+    ///
+    /// Two stable counting sorts, first by the larger endpoint and then
+    /// by the smaller, group the copies of a pair in edge order, and
+    /// each merged weight is their sum in that order. `O(n + m)`.
     pub fn simplify(&self) -> MultiGraph {
-        use std::collections::HashMap;
-        let mut acc: HashMap<(u32, u32), f64> = HashMap::with_capacity(self.edges.len());
-        for e in &self.edges {
-            let key = if e.u < e.v { (e.u, e.v) } else { (e.v, e.u) };
-            *acc.entry(key).or_insert(0.0) += e.w;
+        let pairs: Vec<Edge> =
+            self.edges.iter().map(|e| Edge::new(e.u.min(e.v), e.u.max(e.v), e.w)).collect();
+        let by_larger = counting_sort(pairs, self.n, |e| e.v);
+        let mut edges = counting_sort(by_larger, self.n, |e| e.u);
+        let mut len = 0usize;
+        for i in 0..edges.len() {
+            let e = edges[i];
+            if len > 0 && (edges[len - 1].u, edges[len - 1].v) == (e.u, e.v) {
+                edges[len - 1].w += e.w;
+            } else {
+                edges[len] = e;
+                len += 1;
+            }
         }
-        let mut edges: Vec<Edge> = acc.into_iter().map(|((u, v), w)| Edge::new(u, v, w)).collect();
-        // Deterministic order.
-        edges.sort_by_key(|e| (e.u, e.v));
+        edges.truncate(len);
+        edges.shrink_to_fit();
         MultiGraph { n: self.n, edges }
     }
 
@@ -188,6 +202,23 @@ impl MultiGraph {
             .collect();
         (MultiGraph { n: old_ids.len(), edges }, old_ids)
     }
+}
+
+/// Stable counting sort of `edges` by `key(e) < n`.
+fn counting_sort(edges: Vec<Edge>, n: usize, key: impl Fn(&Edge) -> u32) -> Vec<Edge> {
+    let mut cursor = vec![0usize; n];
+    for e in &edges {
+        cursor[key(e) as usize] += 1;
+    }
+    let offsets = exclusive_scan(&cursor);
+    cursor.copy_from_slice(&offsets[..n]);
+    let mut out = vec![Edge::new(0, 0, 0.0); edges.len()];
+    for e in edges {
+        let k = key(&e) as usize;
+        out[cursor[k]] = e;
+        cursor[k] += 1;
+    }
+    out
 }
 
 /// Incremental assembly of a [`MultiGraph`] from streamed edge chunks.

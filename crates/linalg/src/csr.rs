@@ -1,9 +1,11 @@
 //! Compressed sparse row matrices with parallel matvec.
 //!
-//! The solver's hot loops apply Laplacians straight from edge lists,
-//! but the CG/PCG baselines and the experiment harness want a classic
-//! CSR matvec: `O(nnz)` work, `O(log n)` depth (each row reduces its
-//! entries, rows in parallel).
+//! The solver's outer loop, every multigrid level and the CG/PCG
+//! baselines apply a classic CSR matvec: `O(nnz)` work, `O(log n)`
+//! depth (each row reduces its entries, rows in parallel). A matrix
+//! comes from a triplet list ([`CsrMatrix::from_triplets`]) or from
+//! arrays a linear-time assembler has already laid out row by row
+//! ([`CsrMatrix::from_parts`]).
 //!
 //! Determinism: the parallel split is across *rows*, and each row's
 //! accumulator is folded sequentially in column order on whichever
@@ -27,7 +29,15 @@ pub struct CsrMatrix {
 
 impl CsrMatrix {
     /// Build from (row, col, value) triplets; duplicate coordinates are
-    /// summed. `O(nnz)` work using a counting sort on rows.
+    /// summed.
+    ///
+    /// **Sum order.** Each merged entry is the sum of its triplets'
+    /// values in input order, starting from the first: a counting sort
+    /// groups the triplets by row and a stable sort orders each row by
+    /// column, so neither reorders the repeats of one coordinate. The
+    /// linear-time assemblers (`parlap_graph::laplacian::to_csr`, the
+    /// multigrid's Galerkin product) follow the same rule, and their
+    /// tests compare against this constructor bit for bit.
     pub fn from_triplets(n: usize, triplets: &[(u32, u32, f64)]) -> Self {
         for &(r, c, _) in triplets {
             assert!(
@@ -40,41 +50,59 @@ impl CsrMatrix {
         for &(r, _, _) in triplets {
             counts[r as usize] += 1;
         }
-        let row_ptr = exclusive_scan(&counts);
+        let mut row_ptr = exclusive_scan(&counts);
         let mut cursor = row_ptr.clone();
-        let mut col_idx = vec![0u32; triplets.len()];
-        let mut values = vec![0.0f64; triplets.len()];
+        let mut entries = vec![(0u32, 0.0f64); triplets.len()];
         for &(r, c, v) in triplets {
-            let slot = cursor[r as usize];
-            col_idx[slot] = c;
-            values[slot] = v;
+            entries[cursor[r as usize]] = (c, v);
             cursor[r as usize] += 1;
         }
-        // Sort each row by column and merge duplicates.
-        let mut merged_cols: Vec<Vec<u32>> = Vec::with_capacity(n);
-        let mut merged_vals: Vec<Vec<f64>> = Vec::with_capacity(n);
+        // Sort each row by column and merge duplicates, compacting in
+        // place: the merged row starts at `len`, never past its input.
+        let mut len = 0usize;
         for r in 0..n {
-            let lo = row_ptr[r];
-            let hi = row_ptr[r + 1];
-            let mut row: Vec<(u32, f64)> =
-                col_idx[lo..hi].iter().copied().zip(values[lo..hi].iter().copied()).collect();
-            row.sort_unstable_by_key(|&(c, _)| c);
-            let mut cols = Vec::with_capacity(row.len());
-            let mut vals: Vec<f64> = Vec::with_capacity(row.len());
-            for (c, v) in row {
-                if cols.last() == Some(&c) {
-                    *vals.last_mut().expect("nonempty") += v;
+            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+            entries[lo..hi].sort_by_key(|&(c, _)| c);
+            row_ptr[r] = len;
+            for i in lo..hi {
+                let (c, v) = entries[i];
+                if len > row_ptr[r] && entries[len - 1].0 == c {
+                    entries[len - 1].1 += v;
                 } else {
-                    cols.push(c);
-                    vals.push(v);
+                    entries[len] = (c, v);
+                    len += 1;
                 }
             }
-            merged_cols.push(cols);
-            merged_vals.push(vals);
         }
-        let counts: Vec<usize> = merged_cols.iter().map(Vec::len).collect();
-        let row_ptr = exclusive_scan(&counts);
-        CsrMatrix { n, row_ptr, col_idx: merged_cols.concat(), values: merged_vals.concat() }
+        row_ptr[n] = len;
+        entries.truncate(len);
+        let (col_idx, values) = entries.into_iter().unzip();
+        CsrMatrix { n, row_ptr, col_idx, values }
+    }
+
+    /// Wrap CSR arrays assembled elsewhere: `row_ptr` holds `n + 1`
+    /// offsets into `col_idx` and `values`, and each row lists distinct
+    /// columns below `n` in increasing order.
+    ///
+    /// # Panics
+    /// Panics if the arrays break that layout.
+    pub fn from_parts(n: usize, row_ptr: Vec<usize>, col_idx: Vec<u32>, values: Vec<f64>) -> Self {
+        assert!(
+            row_ptr.len() == n + 1
+                && row_ptr[0] == 0
+                && row_ptr[n] == col_idx.len()
+                && col_idx.len() == values.len(),
+            "CSR arrays do not describe an {n}-row matrix"
+        );
+        for r in 0..n {
+            let cols = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+            assert!(
+                cols.windows(2).all(|p| p[0] < p[1])
+                    && cols.last().is_none_or(|&c| (c as usize) < n),
+                "CSR row {r} is not strictly increasing below {n}"
+            );
+        }
+        CsrMatrix { n, row_ptr, col_idx, values }
     }
 
     /// Number of stored entries.
@@ -145,6 +173,40 @@ mod tests {
         let m = CsrMatrix::from_triplets(2, &[(0, 1, 1.0), (0, 1, 2.0), (1, 1, 1.0)]);
         assert_eq!(m.nnz(), 2);
         assert_eq!(m.apply_vec(&[0.0, 1.0]), vec![3.0, 1.0]);
+    }
+
+    /// Repeats of one coordinate are summed in input order, even in a
+    /// row of 64 triplets, long enough for an unstable sort to reorder
+    /// equal columns.
+    #[test]
+    fn repeats_are_summed_in_input_order() {
+        let triplets: Vec<(u32, u32, f64)> =
+            (0..64u32).map(|i| (0, (i * 3) % 8, 1.0 / f64::from(i + 3))).collect();
+        let mut want = [None::<f64>; 8];
+        for &(_, c, v) in &triplets {
+            let sum = &mut want[c as usize];
+            *sum = Some(sum.map_or(v, |s| s + v));
+        }
+        let m = CsrMatrix::from_triplets(8, &triplets);
+        let got: Vec<(u32, f64)> = m.row(0).collect();
+        assert_eq!(got.len(), 8);
+        for (c, v) in got {
+            assert_eq!(v.to_bits(), want[c as usize].expect("column").to_bits(), "column {c}");
+        }
+    }
+
+    #[test]
+    fn from_parts_keeps_the_arrays() {
+        let m = CsrMatrix::from_parts(2, vec![0, 2, 3], vec![0, 1, 1], vec![2.0, -1.0, 1.0]);
+        assert_eq!(m.nnz(), 3);
+        assert_eq!(m.row(0).collect::<Vec<_>>(), vec![(0, 2.0), (1, -1.0)]);
+        assert_eq!(m.apply_vec(&[1.0, 1.0]), vec![1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly increasing")]
+    fn from_parts_rejects_an_unsorted_row() {
+        CsrMatrix::from_parts(2, vec![0, 2, 2], vec![1, 0], vec![1.0, 1.0]);
     }
 
     #[test]

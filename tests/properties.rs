@@ -230,3 +230,89 @@ proptest! {
         prop_assert_eq!(cc.count, parlap_graph::connectivity::num_components(&g));
     }
 }
+
+/// A random weighted multigraph that stresses Laplacian assembly:
+/// parallel and reversed copies of one pair, a hub (vertex 0) with
+/// degree far above 48, and isolated vertices (ids from `span` up get
+/// no edge). Weights are not dyadic, so a sum taken in another order
+/// changes bits.
+fn arb_assembly_multigraph() -> impl Strategy<Value = MultiGraph> {
+    (
+        (2usize..160, 2u32..160),
+        proptest::collection::vec((0u32..1 << 20, 0u32..1 << 20, 0.1f64..10.0), 0..400),
+        proptest::collection::vec((0u32..1 << 20, 0.1f64..10.0), 0..160),
+    )
+        .prop_map(|((n, span), raw, hub)| {
+            let span = span.min(n as u32);
+            let mut edges = Vec::new();
+            for (i, &(a, b, w)) in raw.iter().enumerate() {
+                let (u, v) = (a % span, b % span);
+                if u != v {
+                    edges.push(Edge::new(u, v, w));
+                    if i % 3 == 0 {
+                        edges.push(Edge::new(v, u, w * 0.7));
+                    }
+                }
+            }
+            for &(x, w) in &hub {
+                let x = x % span;
+                if x != 0 {
+                    edges.push(if x % 2 == 0 { Edge::new(0, x, w) } else { Edge::new(x, 0, w) });
+                }
+            }
+            MultiGraph::from_edges(n, edges)
+        })
+}
+
+/// The reference `simplify`: a hash map sums each pair's copies in
+/// edge order from 0.0, then a sort orders the pairs.
+fn simplify_reference(g: &MultiGraph) -> Vec<Edge> {
+    let mut acc: std::collections::HashMap<(u32, u32), f64> = std::collections::HashMap::new();
+    for e in g.edges() {
+        *acc.entry((e.u.min(e.v), e.u.max(e.v))).or_insert(0.0) += e.w;
+    }
+    let mut edges: Vec<Edge> = acc.into_iter().map(|((u, v), w)| Edge::new(u, v, w)).collect();
+    edges.sort_by_key(|e| (e.u, e.v));
+    edges
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `to_csr` equals `from_triplets` over the four triplets of every
+    /// edge, bit for bit: the same rows, columns and sums in input
+    /// order, and an empty row for a vertex with no edges.
+    #[test]
+    fn to_csr_matches_the_triplet_assembly(g in arb_assembly_multigraph()) {
+        use parlap_graph::laplacian::to_csr;
+        use parlap_linalg::csr::CsrMatrix;
+        use parlap_linalg::op::LinOp;
+        let mut triplets = Vec::with_capacity(4 * g.num_edges());
+        for e in g.edges() {
+            triplets.push((e.u, e.u, e.w));
+            triplets.push((e.v, e.v, e.w));
+            triplets.push((e.u, e.v, -e.w));
+            triplets.push((e.v, e.u, -e.w));
+        }
+        let n = g.num_vertices();
+        let want = CsrMatrix::from_triplets(n, &triplets);
+        let got = to_csr(&g);
+        prop_assert_eq!(got.dim(), n);
+        prop_assert_eq!(got.nnz(), want.nnz());
+        for r in 0..n {
+            let bits = |m: &CsrMatrix| m.row(r).map(|(c, v)| (c, v.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    /// `simplify` equals the hash-map version bit for bit: one edge per
+    /// pair with the smaller endpoint first, ordered by pair, each
+    /// weight summed in edge order.
+    #[test]
+    fn simplify_matches_the_hash_map_version(g in arb_assembly_multigraph()) {
+        let s = g.simplify();
+        prop_assert_eq!(s.num_vertices(), g.num_vertices());
+        let bits = |edges: &[Edge]| edges.iter().map(|e| (e.u, e.v, e.w.to_bits())).collect::<Vec<_>>();
+        prop_assert_eq!(bits(s.edges()), bits(&simplify_reference(&g)));
+    }
+}
